@@ -44,6 +44,8 @@ COMMANDS = (
 )
 
 BELL_ROW_HEADER = ("theta1_deg", "theta2_deg", "p_ab", "p_bc", "p_ac", "bell_gap", "violated")
+# the same fields as JSON keys
+BELL_POINT_KEYS = ("theta1_deg", "theta2_deg", "p_q_ab", "p_q_bc", "p_q_ac", "bell_gap", "violated")
 
 _CONFIG_KEYS = (
     "theta1_deg",
@@ -69,26 +71,40 @@ class RunConfig:
     format: str = "text"
     output_path: str | None = None
 
+    # Degrees are reduced mod 360 before the conversion, so a huge finite
+    # angle keeps its meaning; fmod is exact and leaves |x| < 360 alone.
     @property
     def theta1(self) -> float:
-        return math.radians(self.theta1_deg)
+        return math.radians(math.fmod(self.theta1_deg, 360.0))
 
     @property
     def theta2(self) -> float:
-        return math.radians(self.theta2_deg)
+        return math.radians(math.fmod(self.theta2_deg, 360.0))
 
 
 @dataclass(frozen=True)
 class Table:
-    """Tabular view of a report: the CSV body, also shown by the text format.
+    """Tabular view of a report, held as columns: the CSV body, also shown by
+    the text format.  A Table inside results renders in JSON as a list of
+    objects keyed by its header.
 
-    covers lists the top-level results keys the table already presents, so the
-    text format does not repeat them as scalar lines.
+    columns holds one sequence per header entry, all of one length; float64
+    and bool arrays are rendered a whole column at a time.  covers lists the
+    top-level results keys the table already presents, so the text format
+    does not repeat them as scalar lines.
     """
 
     header: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    columns: tuple
     covers: tuple[str, ...] = ()
+
+    @classmethod
+    def from_rows(cls, header, rows, covers=()) -> Table:
+        columns = tuple(zip(*rows)) if rows else ((),) * len(header)
+        return cls(header, columns, covers)
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
 
 
 @dataclass(frozen=True)
@@ -198,14 +214,23 @@ def parse_args(argv=None) -> RunConfig:
         parser.error("angles must be finite")
     if samples is not None and samples < 1:
         parser.error("--samples must be at least 1")
-    if ns.command == "bell-sweep" and not (math.isfinite(grid_step) and grid_step > 0):
-        parser.error("--grid-step must be positive")
+    seed = getattr(ns, "seed", 0)
+    if seed < 0:
+        parser.error("--seed must not be negative")
+    if ns.command == "bell-sweep":
+        if not (math.isfinite(grid_step) and grid_step > 0):
+            parser.error("--grid-step must be positive")
+        try:
+            experiments.sweep_point_count(math.radians(grid_step))
+        except ValueError:
+            parser.error(f"--grid-step {grid_step:g} gives more than "
+                         f"{experiments.MAX_SWEEP_POINTS:,} grid points")
     return RunConfig(
         command=ns.command,
         theta1_deg=theta1,
         theta2_deg=theta2,
         samples=samples,
-        seed=getattr(ns, "seed", 0),
+        seed=seed,
         grid_step_deg=grid_step,
         target=getattr(ns, "target", None),
         format=ns.format,
@@ -228,29 +253,11 @@ def _config_echo(config: RunConfig, used: tuple[str, ...]) -> dict:
     return {k: (values[k] if k in used else None) for k in _CONFIG_KEYS}
 
 
-def _bell_row(theta1_deg: float, theta2_deg: float, point: experiments.BellPoint) -> tuple:
-    return (
-        theta1_deg,
-        theta2_deg,
-        point.p_q_AB,
-        point.p_q_BC,
-        point.p_q_AC,
-        point.bell_gap,
-        point.violated,
-    )
-
-
 def _cmd_singlet_bell(config: RunConfig):
     point = experiments.quantum_bell_point(config.theta1, config.theta2)
-    results = {
-        "theta1_deg": config.theta1_deg,
-        "theta2_deg": config.theta2_deg,
-        "p_q_ab": point.p_q_AB,
-        "p_q_bc": point.p_q_BC,
-        "p_q_ac": point.p_q_AC,
-        "bell_gap": point.bell_gap,
-        "violated": point.violated,
-    }
+    row = (config.theta1_deg, config.theta2_deg, point.p_q_AB, point.p_q_BC,
+           point.p_q_AC, point.bell_gap, point.violated)
+    results = dict(zip(BELL_POINT_KEYS, row))
     used = ("theta1_deg", "theta2_deg")
     sampled = False
     if config.samples is not None:
@@ -268,42 +275,25 @@ def _cmd_singlet_bell(config: RunConfig):
         }
         used += ("samples", "seed")
         sampled = True
-    table = Table(
-        header=BELL_ROW_HEADER,
-        rows=(_bell_row(config.theta1_deg, config.theta2_deg, point),),
-        covers=("theta1_deg", "theta2_deg", "p_q_ab", "p_q_bc", "p_q_ac",
-                "bell_gap", "violated"),
-    )
+    table = Table.from_rows(BELL_ROW_HEADER, [row], covers=BELL_POINT_KEYS)
     return results, table, {"exact": True, "sampled": sampled}, used
 
 
 def _cmd_bell_sweep(config: RunConfig):
     sweep = experiments.quantum_bell_sweep(math.radians(config.grid_step_deg))
-    point_dicts = []
-    rows = []
-    for p in sweep.points:
-        t1, t2 = math.degrees(p.theta1), math.degrees(p.theta2)
-        point_dicts.append(
-            {
-                "theta1_deg": t1,
-                "theta2_deg": t2,
-                "p_q_ab": p.p_q_AB,
-                "p_q_bc": p.p_q_BC,
-                "p_q_ac": p.p_q_AC,
-                "bell_gap": p.bell_gap,
-                "violated": p.violated,
-            }
-        )
-        rows.append(_bell_row(t1, t2, p))
+    points = sweep.points
+    # np.degrees rounds exactly as math.degrees does
+    columns = (np.degrees(points.theta1), np.degrees(points.theta2), points.p_q_AB,
+               points.p_q_BC, points.p_q_AC, points.bell_gap, points.violated)
     results = {
         "grid_step_deg": config.grid_step_deg,
-        "point_count": len(rows),
+        "point_count": len(points),
         "min_gap": sweep.min_gap,
         "argmin_theta1_deg": math.degrees(sweep.minimum.theta1),
         "argmin_theta2_deg": math.degrees(sweep.minimum.theta2),
-        "points": point_dicts,
+        "points": Table(BELL_POINT_KEYS, columns),
     }
-    table = Table(header=BELL_ROW_HEADER, rows=tuple(rows), covers=("points",))
+    table = Table(BELL_ROW_HEADER, columns, covers=("points",))
     return results, table, {"exact": True, "sampled": False}, ("grid_step_deg",)
 
 
@@ -332,12 +322,12 @@ def _cmd_ghz_parity(config: RunConfig):
             ],
         },
     }
-    table = Table(
+    table = Table.from_rows(
         header=("pattern", "quantum_expectation", "classical_constant"),
-        rows=tuple(
+        rows=[
             (pat, report.quantum[pat], report.classical[pat])
             for pat in lhv.PARITY_PATTERNS
-        ),
+        ],
         covers=("quantum", "classical"),
     )
     return results, table, {"exact": True, "sampled": False}, ()
@@ -352,10 +342,9 @@ def _cmd_order_demo(config: RunConfig):
         "prob_order_132": report.prob_order_132,
         "equal": report.equal,
     }
-    table = Table(
-        header=("theta1_deg", "theta2_deg", "prob_order_123", "prob_order_132", "equal"),
-        rows=((config.theta1_deg, config.theta2_deg, report.prob_order_123,
-               report.prob_order_132, report.equal),),
+    table = Table.from_rows(
+        header=tuple(results),
+        rows=[tuple(results.values())],
         covers=tuple(results),
     )
     return results, table, {"exact": True, "sampled": False}, ("theta1_deg", "theta2_deg")
@@ -388,9 +377,9 @@ def _cmd_lhv_enumerate(config: RunConfig):
                 for a in cert.survivors
             ],
         }
-        table = Table(
+        table = Table.from_rows(
             header=("dark1", "dark2", "dark3", "round1", "round2", "round3", "xxx_product"),
-            rows=tuple((*a.dark, *a.round, a.xxx_product) for a in cert.survivors),
+            rows=[(*a.dark, *a.round, a.xxx_product) for a in cert.survivors],
             covers=("survivors",),
         )
     else:
@@ -417,13 +406,13 @@ def _cmd_lhv_enumerate(config: RunConfig):
                 for v in cert.vertices
             ],
         }
-        table = Table(
+        table = Table.from_rows(
             header=("dark", "round", "swiss", "p_ab", "p_bc", "p_ac", "bell_gap"),
-            rows=tuple(
+            rows=[
                 (v.triple.dark, v.triple.round, v.triple.swiss, v.i_AB, v.i_BC,
                  v.i_AC, v.gap)
                 for v in cert.vertices
-            ),
+            ],
             covers=("vertices",),
         )
     return results, table, {"exact": True, "sampled": False}, ("target",)
@@ -447,12 +436,12 @@ def _cmd_classical_mc(config: RunConfig):
             "seed": config.seed,
             "patterns": patterns,
         }
-        table = Table(
+        table = Table.from_rows(
             header=("pattern", "mean", "constant_on_draws"),
-            rows=tuple(
+            rows=[
                 (pat, patterns[pat]["mean"], patterns[pat]["constant_on_draws"])
                 for pat in lhv.PARITY_PATTERNS
-            ),
+            ],
             covers=("patterns",),
         )
     else:
@@ -478,9 +467,9 @@ def _cmd_classical_mc(config: RunConfig):
             "bell_lhs": sampled.bell_lhs,
             "satisfied": sampled.satisfied,
         }
-        table = Table(
+        table = Table.from_rows(
             header=("quantity", "estimate", "std_error", "exact"),
-            rows=tuple(rows),
+            rows=rows,
             covers=("estimates",),
         )
     return results, table, {"exact": True, "sampled": True}, used
@@ -519,9 +508,9 @@ def _cmd_state_report(config: RunConfig):
     for section, payload in results.items():
         for key, value in _flatten_leaves(payload):
             rows.append((section, key, _cell(value)))
-    table = Table(
+    table = Table.from_rows(
         header=("section", "key", "value"),
-        rows=tuple(rows),
+        rows=rows,
         covers=tuple(results),
     )
     return results, table, {"exact": True, "sampled": False}, ("theta1_deg",)
@@ -553,7 +542,9 @@ def _round12(x: float) -> float:
     return float(format(x, ".12g"))
 
 
-def _jsonify(value):
+def _jsonify(value, tables: list):
+    """JSON-ready copy of value.  Each Table is appended to tables and stands
+    in the copy as a placeholder string, replaced by _render_json."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -564,11 +555,19 @@ def _jsonify(value):
         return _round12(float(value))
     if value is None or isinstance(value, str):
         return value
+    if isinstance(value, Table):
+        tables.append(value)
+        return _placeholder(len(tables) - 1)
     if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
+        return {k: _jsonify(v, tables) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
+        return [_jsonify(v, tables) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _placeholder(index: int) -> str:
+    # no argv string can hold a NUL, so no other string in a report matches
+    return f"\0table{index}"
 
 
 def _cell(value) -> str:
@@ -583,6 +582,64 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _is_column(column, *dtypes) -> bool:
+    """True for a numpy column of one of dtypes."""
+    return isinstance(column, np.ndarray) and column.dtype in dtypes
+
+
+def _format12(values: list) -> list[str]:
+    return list(map("{:.12g}".format, values))
+
+
+def _json12(values: list) -> list[str]:
+    # json.dumps writes a float as its repr
+    return list(map(repr, map(float, _format12(values))))
+
+
+def _map_distinct(fn, column: np.ndarray) -> list[str]:
+    """fn applied to the distinct values of a float64 column, spread back
+    over the whole column.
+
+    Sweep columns repeat a few hundred values each.  Values are told apart by
+    their bits, so -0.0 and 0.0 stay distinct."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array(fn(bits.view(np.float64).tolist()), dtype=object)
+    return texts[inverse.reshape(-1)].tolist()
+
+
+def _column_cells(column) -> list[str]:
+    """The CSV and text cells of one Table column, as _cell writes them."""
+    if _is_column(column, np.float64):
+        return _map_distinct(_format12, column)
+    if _is_column(column, np.bool_):
+        return np.where(column, "true", "false").tolist()
+    return [_cell(v) for v in column]
+
+
+def _json_cells(column) -> list[str]:
+    """The JSON text of each value in one Table column, as json.dumps writes
+    _jsonify's copy of it."""
+    if _is_column(column, np.float64) and np.isfinite(column).all():
+        return _map_distinct(_json12, column)
+    if _is_column(column, np.bool_):
+        return _column_cells(column)
+    return [json.dumps(_jsonify(v, [])) for v in column]
+
+
+def _json_rows(table: Table, indent: str) -> str:
+    """The table as json.dumps(indent=2) writes a list of objects whose
+    opening line is indented by indent."""
+    if not len(table):
+        return "[]"
+    inner = indent + "  "
+    fields = (",\n" + inner + "  ").join(
+        json.dumps(key).replace("%", "%%") + ": %s" for key in table.header
+    )
+    template = inner + "{\n" + inner + "  " + fields + "\n" + inner + "}"
+    rows = map(template.__mod__, zip(*map(_json_cells, table.columns)))
+    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+
+
 def _flatten_leaves(value, prefix: str = ""):
     """Depth-first (path, leaf) pairs; lists of scalars count as one leaf each."""
     if isinstance(value, dict):
@@ -595,28 +652,47 @@ def _flatten_leaves(value, prefix: str = ""):
         yield prefix, value
 
 
-def _envelope_doc(env: ReportEnvelope) -> dict:
+def _envelope_doc(env: ReportEnvelope, tables: list) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": TOOL_NAME, "version": __version__},
         "command": env.command,
-        "config": _jsonify(env.config),
-        "provenance": _jsonify(env.provenance),
-        "results": _jsonify(env.results),
+        "config": _jsonify(env.config, tables),
+        "provenance": _jsonify(env.provenance, tables),
+        "results": _jsonify(env.results, tables),
     }
 
 
 def _render_json(env: ReportEnvelope) -> str:
-    return json.dumps(_envelope_doc(env), indent=2) + "\n"
+    tables = []
+    text = json.dumps(_envelope_doc(env, tables), indent=2) + "\n"
+    for index in reversed(range(len(tables))):
+        token = json.dumps(_placeholder(index))
+        at = text.rindex(token)
+        line = text[text.rindex("\n", 0, at) + 1:at]
+        indent = line[: len(line) - len(line.lstrip(" "))]
+        text = text[:at] + _json_rows(tables[index], indent) + text[at + len(token):]
+    return text
 
 
 def _render_csv(env: ReportEnvelope) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(env.table.header)
-    for row in env.table.rows:
-        writer.writerow([_cell(v) for v in row])
+    rows = zip(*map(_column_cells, env.table.columns))
+    if all(_is_column(c, np.float64, np.bool_) for c in env.table.columns):
+        # number and true/false cells hold nothing csv would quote
+        buf.writelines(map("%s\n".__mod__, map(",".join, rows)))
+    else:
+        writer.writerows(rows)
     return buf.getvalue()
+
+
+def _is_rows(value) -> bool:
+    """True for values the text format shows as a row count."""
+    return isinstance(value, Table) or (
+        isinstance(value, (list, tuple)) and bool(value) and isinstance(value[0], dict)
+    )
 
 
 def _text_scalars(results: dict, covered: tuple[str, ...]) -> list[str]:
@@ -624,12 +700,12 @@ def _text_scalars(results: dict, covered: tuple[str, ...]) -> list[str]:
     for key, value in results.items():
         if key in covered:
             continue
-        if isinstance(value, (list, tuple)) and value and isinstance(value[0], dict):
+        if _is_rows(value):
             lines.append(f"{key}: {len(value)} rows")
             continue
         if isinstance(value, dict):
             for path, leaf in _flatten_leaves(value, key):
-                if isinstance(leaf, (list, tuple)) and leaf and isinstance(leaf[0], dict):
+                if _is_rows(leaf):
                     lines.append(f"{path}: {len(leaf)} rows")
                 else:
                     lines.append(f"{path} = {_cell(leaf)}")
@@ -654,11 +730,12 @@ def _render_text(env: ReportEnvelope) -> str:
         lines.append("")
         lines.extend(scalars)
     lines.append("")
-    cells = [tuple(str(h) for h in env.table.header)]
-    cells.extend(tuple(_cell(v) for v in row) for row in env.table.rows)
-    widths = [max(len(r[i]) for r in cells) for i in range(len(env.table.header))]
-    for row in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+    columns = [
+        [str(h), *_column_cells(column)]
+        for h, column in zip(env.table.header, env.table.columns)
+    ]
+    template = "  ".join(f"%-{max(map(len, cells))}s" for cells in columns)
+    lines.extend(line.rstrip() for line in map(template.__mod__, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 

@@ -63,11 +63,13 @@ def _pair_axes(theta1: float, theta2: float) -> dict[str, tuple[MeasurementAxis,
     return {"AB": (n1, n2), "BC": (n2, n3), "AC": (n1, n3)}
 
 
-def _closed_form_probs(theta1: float, theta2: float) -> tuple[float, float, float]:
+def _closed_form_probs(theta1, theta2):
+    """(p_AB, p_BC, p_AC) from the closed forms; angles may be floats or
+    arrays of one shape."""
     return (
-        0.5 * math.sin(theta1 / 2.0) ** 2,
-        0.5 * math.sin((theta2 - theta1) / 2.0) ** 2,
-        0.5 * math.sin(theta2 / 2.0) ** 2,
+        0.5 * np.sin(theta1 / 2.0) ** 2,
+        0.5 * np.sin((theta2 - theta1) / 2.0) ** 2,
+        0.5 * np.sin(theta2 / 2.0) ** 2,
     )
 
 
@@ -97,12 +99,30 @@ class BellPoint:
         return cls(theta1, theta2, p_ab, p_bc, p_ac, gap, gap < 0.0)
 
 
+# One record per grid point, fields named as on BellPoint.
+BELL_POINT_DTYPE = np.dtype(
+    [(name, np.float64) for name in
+     ("theta1", "theta2", "p_q_AB", "p_q_BC", "p_q_AC", "bell_gap")]
+    + [("violated", np.bool_)]
+)
+
+
+def _check_bell_columns(points: np.ndarray) -> None:
+    """BellPoint's checks, run once on whole columns of points."""
+    for name in ("p_q_AB", "p_q_BC", "p_q_AC"):
+        p = points[name]
+        if not np.all((0.0 <= p) & (p <= 0.5 + ATOL)):
+            raise ValueError(f"{name} out of [0, 1/2]: {p.min()} to {p.max()}")
+    if not np.array_equal(points["violated"], points["bell_gap"] < 0.0):
+        raise ValueError("violated flag inconsistent with bell_gap sign")
+
+
 def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
     """Closed-form coincidence probabilities at (theta1, theta2), verified
     against the Born-rule computation on the singlet state."""
     if not (math.isfinite(theta1) and math.isfinite(theta2)):
         raise ValueError("angles must be finite")
-    closed = _closed_form_probs(theta1, theta2)
+    closed = [float(p) for p in _closed_form_probs(theta1, theta2)]
     state = singlet_state()
     pair_axes = _pair_axes(theta1, theta2)
     for label, value in zip(("AB", "BC", "AC"), closed):
@@ -117,10 +137,11 @@ def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
 
 @dataclass(frozen=True, eq=False)
 class BellSweep:
-    """Grid of BellPoint values with the most negative gap singled out."""
+    """Grid of points, as a record array of BELL_POINT_DTYPE in grid order,
+    with the most negative gap singled out."""
 
     step: float
-    points: tuple[BellPoint, ...]
+    points: np.recarray
     minimum: BellPoint
 
     @property
@@ -132,11 +153,41 @@ class BellSweep:
         return (self.minimum.theta1, self.minimum.theta2)
 
 
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+# Largest grid quantum_bell_sweep evaluates: a 0.1 degree grid over
+# [0, 180] squared (1801 x 1801 = 3,243,601 points) fits, 0.05 degree does not.
+MAX_SWEEP_POINTS = 4_000_000
+_TOO_FINE = f"grid step too fine: more than {MAX_SWEEP_POINTS:,} points"
+
+
+def _axis_size(lo: float, hi: float, step: float) -> int:
+    """Number of points lo, lo + step, ... that stay within hi.  A last point
+    past hi by rounding alone (under 1e-9 of a step) still counts."""
     if hi < lo:
         raise ValueError("range must be ordered low to high")
-    count = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(count)
+    steps = (hi - lo) / step
+    if steps >= MAX_SWEEP_POINTS:
+        raise ValueError(_TOO_FINE)
+    return math.floor(steps + 1e-9) + 1
+
+
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    return lo + step * np.arange(_axis_size(lo, hi, step))
+
+
+def sweep_point_count(
+    step: float,
+    theta1_range: tuple[float, float] = (0.0, math.pi),
+    theta2_range: tuple[float, float] = (0.0, math.pi),
+) -> int:
+    """Points quantum_bell_sweep would evaluate, found without allocating the
+    grid.  Raises ValueError for a bad step or range, or for a grid larger
+    than MAX_SWEEP_POINTS."""
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
+    count = _axis_size(*theta1_range, step) * _axis_size(*theta2_range, step)
+    if count > MAX_SWEEP_POINTS:
+        raise ValueError(_TOO_FINE)
+    return count
 
 
 def quantum_bell_sweep(
@@ -146,33 +197,24 @@ def quantum_bell_sweep(
 ) -> BellSweep:
     """Evaluate the closed forms on an inclusive grid and report the minimum.
 
-    Grid order is theta1-major, both angles ascending.  Ties on the minimum
-    resolve to the first point in that order.
+    Each axis runs from its low end in whole steps up to its high end; the
+    last point is the last one not past the high end.  Grid order is
+    theta1-major, both angles ascending.  Ties on the minimum resolve to the
+    first point in that order.
     """
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError("step must be positive and finite")
+    sweep_point_count(step, theta1_range, theta2_range)
     t1 = _grid(*theta1_range, step)
     t2 = _grid(*theta2_range, step)
     g1, g2 = np.meshgrid(t1, t2, indexing="ij")
-    p_ab = 0.5 * np.sin(g1 / 2.0) ** 2
-    p_bc = 0.5 * np.sin((g2 - g1) / 2.0) ** 2
-    p_ac = 0.5 * np.sin(g2 / 2.0) ** 2
+    p_ab, p_bc, p_ac = _closed_form_probs(g1, g2)
     gap = p_ab + p_bc - p_ac
-    points = tuple(
-        BellPoint(
-            float(g1[i, j]),
-            float(g2[i, j]),
-            float(p_ab[i, j]),
-            float(p_bc[i, j]),
-            float(p_ac[i, j]),
-            float(gap[i, j]),
-            bool(gap[i, j] < 0.0),
-        )
-        for i in range(t1.size)
-        for j in range(t2.size)
+    points = np.rec.fromarrays(
+        [a.reshape(-1) for a in (g1, g2, p_ab, p_bc, p_ac, gap, gap < 0.0)],
+        dtype=BELL_POINT_DTYPE,
     )
-    best = int(np.argmin(gap.reshape(-1)))
-    return BellSweep(step=step, points=points, minimum=points[best])
+    _check_bell_columns(points)
+    minimum = BellPoint(*points[int(np.argmin(points.bell_gap))].tolist())
+    return BellSweep(step=step, points=points, minimum=minimum)
 
 
 @dataclass(frozen=True)

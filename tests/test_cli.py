@@ -1,15 +1,22 @@
 """Command-line surface: argument handling, report payloads, schema
 conformance of the JSON output, CSV/text rendering, file output, exit codes."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import bellbox
 from bellbox import cli
 from bellbox.cli import SCHEMA_PATH, main, parse_args, render, run
+from bellbox import experiments
 from bellbox.experiments import PhysicsAssertionError
 
 # one argv per distinct report shape the schema must cover
@@ -60,7 +67,20 @@ class TestParsing:
         assert main(["singlet-bell", "--samples", "0"]) == 1
         assert main(["lhv-enumerate", "neither"]) == 1
         assert main(["singlet-bell", "--theta1", "nan"]) == 1
-        capsys.readouterr()
+        assert main(["bell-sweep", "--grid-step", "1e-300"]) == 1
+        assert main(["bell-sweep", "--grid-step", "0.01"]) == 1
+        assert main(["classical-mc", "singlet", "--seed", "-1"]) == 1
+        assert main(["classical-mc", "ghz", "--seed", "-5"]) == 1
+        assert main(["singlet-bell", "--samples", "10", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--grid-step 1e-300 gives more than 4,000,000 grid points" in err
+        assert "--seed must not be negative" in err
+
+    def test_grid_cap_admits_a_tenth_of_a_degree(self):
+        config = parse_args(["bell-sweep", "--grid-step", "0.1"])
+        assert config.grid_step_deg == 0.1
+        assert experiments.sweep_point_count(math.radians(0.1)) == 1801 * 1801
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -138,6 +158,39 @@ class TestPayloads:
         assert results["argmin_theta2_deg"] == pytest.approx(120.0)
         assert results["min_gap"] == pytest.approx(-0.125, abs=1e-9)
 
+    def test_sweep_stops_at_180_degrees(self):
+        # 7 and 50 do not divide 180: the grid ends at the last whole step
+        # within range instead of running past it
+        for step, last in ((7, 175.0), (50, 150.0)):
+            doc = run_json(["bell-sweep", "--grid-step", str(step)])
+            points = doc["results"]["points"]
+            size = int(180 // step) + 1
+            assert doc["results"]["point_count"] == len(points) == size * size
+            assert points[-1]["theta1_deg"] == pytest.approx(last)
+            assert points[-1]["theta2_deg"] == pytest.approx(last)
+
+    def test_large_angles_reduce_mod_360(self):
+        def angles(t1, t2):
+            return ["--theta1", repr(t1), "--theta2", repr(t2)]
+
+        big = (1.23e300, 9.87e299)  # 184 and 40 degrees mod 360
+        reduced = tuple(math.fmod(t, 360.0) for t in big)
+        cases = (
+            ("singlet-bell", angles, ("theta1_deg", "theta2_deg")),
+            ("order-demo", angles, ("theta1_deg", "theta2_deg")),
+            ("state-report", lambda t1, _: ["--theta1", repr(t1)], ("axis",)),
+        )
+        for command, flags, echoed in cases:
+            huge = [command, *flags(*big)]
+            assert main(huge) == 0
+            got, want = run_json(huge)["results"], run_json([command, *flags(*reduced)])["results"]
+            for key in echoed:
+                got.pop(key), want.pop(key)
+            assert got == want, command
+        doc = run_json(["singlet-bell", "--theta1", "1e300"])
+        assert doc["config"]["theta1_deg"] == 1e300
+        assert doc["results"]["theta1_deg"] == 1e300
+
     def test_state_report_payload(self):
         doc = run_json(["state-report"])
         results = doc["results"]
@@ -192,6 +245,28 @@ class TestRendering:
         env = run(parse_args(["order-demo"]))
         with pytest.raises(ValueError):
             render(env, "yaml")
+
+
+# sha256 of the stdout of `python -m bellbox bell-sweep --grid-step S --format F`
+# as written before the sweep was stored and rendered as columns
+SWEEP_DIGESTS = {
+    ("1", "json"): "ac4d75ba13f8a5b79d80f6fa671eb799e30686458f5221ad9331694444718f49",
+    ("1", "csv"): "7054e04f434e4a01588ed0f85de8f2072f169e87e528bff9a15c77c3d8722b2a",
+    ("1", "text"): "fe9b550754a370171946f6bd15d784e67d2a3f78bb4ca2366cf08c422a20df53",
+    ("15", "json"): "da4c4194cad6f100e78f6cc37f2bf8f177179ccb2ae257d63c21e68a1c272a19",
+    ("15", "csv"): "455470dd35f6b69338d0515e3692c3726eeb94943dfb7d6e54772ad8234ba951",
+    ("15", "text"): "d27d7eac13da869ad92d01acfc0ed3d62029efc6944a638befd2fdc7c547c694",
+}
+
+
+@pytest.mark.parametrize("step,fmt", sorted(SWEEP_DIGESTS))
+def test_sweep_report_bytes_are_pinned(step, fmt):
+    env = dict(os.environ, PYTHONPATH=str(Path(bellbox.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bellbox", "bell-sweep", "--grid-step", step, "--format", fmt],
+        capture_output=True, env=env, check=True,
+    )
+    assert hashlib.sha256(proc.stdout).hexdigest() == SWEEP_DIGESTS[step, fmt]
 
 
 class TestOutputAndExitCodes:

@@ -8,8 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bellbox import experiments
 from bellbox.experiments import (
+    BELL_POINT_DTYPE,
+    MAX_SWEEP_POINTS,
     BellPoint,
     McEstimate,
     PhysicsAssertionError,
@@ -21,6 +25,7 @@ from bellbox.experiments import (
     order_dependence_report,
     quantum_bell_point,
     quantum_bell_sweep,
+    sweep_point_count,
 )
 from bellbox.lhv import (
     AttributeTriple,
@@ -126,6 +131,52 @@ class TestBellSweep:
             quantum_bell_sweep(-0.1)
         with pytest.raises(ValueError):
             quantum_bell_sweep(0.1, theta1_range=(1.0, 0.5))
+
+    def test_points_are_columns(self):
+        sweep = quantum_bell_sweep(math.radians(5.0))
+        points = sweep.points
+        assert points.dtype == BELL_POINT_DTYPE
+        ref = np.vectorize(reference_probs)(points.theta1, points.theta2)
+        for column, expected in zip((points.p_q_AB, points.p_q_BC, points.p_q_AC), ref):
+            np.testing.assert_allclose(column, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(points.bell_gap, points.p_q_AB + points.p_q_BC - points.p_q_AC)
+        np.testing.assert_array_equal(points.violated, points.bell_gap < 0.0)
+        assert isinstance(sweep.minimum, BellPoint)
+        assert sweep.minimum == BellPoint(*points[int(np.argmin(points.bell_gap))].tolist())
+
+    def test_column_checks_run(self, monkeypatch):
+        # only the last row goes out of range, away from the minimum, which
+        # BellPoint checks on its own
+        def out_of_range(t1, t2):
+            p_ab, p_bc, p_ac = np.vectorize(reference_probs)(t1, t2)
+            return np.where(t1 == t1.max(), p_ab + 0.6, p_ab), p_bc, p_ac
+
+        monkeypatch.setattr(experiments, "_closed_form_probs", out_of_range)
+        with pytest.raises(ValueError, match="p_q_AB"):
+            quantum_bell_sweep(math.radians(30.0))
+
+    def test_steps_dividing_180_keep_their_point_count(self):
+        for step in (0.1, 0.25, 0.5, 0.75, 1, 2.5, 5, 7.5, 10, 15, 30, 45, 60, 90, 180):
+            per_axis = round(180 / step) + 1
+            assert sweep_point_count(math.radians(step)) == per_axis * per_axis, step
+
+    def test_grid_size_is_capped(self):
+        assert sweep_point_count(math.radians(0.1)) == 3_243_601 <= MAX_SWEEP_POINTS
+        for step in (math.radians(0.05), 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="too fine"):
+                sweep_point_count(step)
+            with pytest.raises(ValueError, match="too fine"):
+                quantum_bell_sweep(step)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.05, max_value=200.0))
+    def test_grid_ends_at_the_last_step_within_range(self, step_deg):
+        step = math.radians(step_deg)
+        sweep = quantum_bell_sweep(step, theta2_range=(0.0, 0.0))
+        last = sweep.points[-1].theta1
+        assert len(sweep.points) == sweep_point_count(step, theta2_range=(0.0, 0.0))
+        assert math.degrees(last) <= 180.0 + 1e-9 * step_deg
+        assert math.degrees(last + step) > 180.0
 
 
 class TestMcBell:
