@@ -53,7 +53,6 @@ from .experiments import (
     GhzParityReport,
     quantum_bell_point,
     quantum_bell_sweep,
-    sweep_point_count,
     mc_bell_estimate,
     mc_classical_estimate,
     order_dependence_report,

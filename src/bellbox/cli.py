@@ -86,7 +86,7 @@ class RunConfig:
 class Table:
     """Tabular view of a report, held as columns: the CSV body, also shown by
     the text format.  A Table inside results renders in JSON as a list of
-    objects keyed by its header.
+    objects keyed by its header; its columns must be finite float64 or bool.
 
     columns holds one sequence per header entry, all of one length; float64
     and bool arrays are rendered a whole column at a time.  covers lists the
@@ -215,13 +215,14 @@ def parse_args(argv=None) -> RunConfig:
     if samples is not None and samples < 1:
         parser.error("--samples must be at least 1")
     seed = getattr(ns, "seed", 0)
-    if seed < 0:
+    # the seed is used only when something is sampled
+    if seed < 0 and samples is not None:
         parser.error("--seed must not be negative")
     if ns.command == "bell-sweep":
         if not (math.isfinite(grid_step) and grid_step > 0):
             parser.error("--grid-step must be positive")
         try:
-            experiments.sweep_point_count(math.radians(grid_step))
+            experiments._sweep_point_count(math.radians(grid_step))
         except ValueError:
             parser.error(f"--grid-step {grid_step:g} gives more than "
                          f"{experiments.MAX_SWEEP_POINTS:,} grid points")
@@ -582,9 +583,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _is_column(column, *dtypes) -> bool:
-    """True for a numpy column of one of dtypes."""
-    return isinstance(column, np.ndarray) and column.dtype in dtypes
+def _is_column(column, dtype) -> bool:
+    """True for a numpy column of dtype."""
+    return isinstance(column, np.ndarray) and column.dtype == dtype
 
 
 def _format12(values: list) -> list[str]:
@@ -618,12 +619,13 @@ def _column_cells(column) -> list[str]:
 
 def _json_cells(column) -> list[str]:
     """The JSON text of each value in one Table column, as json.dumps writes
-    _jsonify's copy of it."""
+    _jsonify's copy of it.  Only finite float64 and bool columns are
+    supported."""
     if _is_column(column, np.float64) and np.isfinite(column).all():
         return _map_distinct(_json12, column)
     if _is_column(column, np.bool_):
         return _column_cells(column)
-    return [json.dumps(_jsonify(v, [])) for v in column]
+    raise TypeError("a Table inside results needs finite float64 or bool columns")
 
 
 def _json_rows(table: Table, indent: str) -> str:
@@ -679,20 +681,13 @@ def _render_csv(env: ReportEnvelope) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(env.table.header)
-    rows = zip(*map(_column_cells, env.table.columns))
-    if all(_is_column(c, np.float64, np.bool_) for c in env.table.columns):
-        # number and true/false cells hold nothing csv would quote
-        buf.writelines(map("%s\n".__mod__, map(",".join, rows)))
-    else:
-        writer.writerows(rows)
+    writer.writerows(zip(*map(_column_cells, env.table.columns)))
     return buf.getvalue()
 
 
 def _is_rows(value) -> bool:
     """True for values the text format shows as a row count."""
-    return isinstance(value, Table) or (
-        isinstance(value, (list, tuple)) and bool(value) and isinstance(value[0], dict)
-    )
+    return isinstance(value, (list, tuple)) and bool(value) and isinstance(value[0], dict)
 
 
 def _text_scalars(results: dict, covered: tuple[str, ...]) -> list[str]:

@@ -174,7 +174,7 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(_axis_size(lo, hi, step))
 
 
-def sweep_point_count(
+def _sweep_point_count(
     step: float,
     theta1_range: tuple[float, float] = (0.0, math.pi),
     theta2_range: tuple[float, float] = (0.0, math.pi),
@@ -202,7 +202,7 @@ def quantum_bell_sweep(
     theta1-major, both angles ascending.  Ties on the minimum resolve to the
     first point in that order.
     """
-    sweep_point_count(step, theta1_range, theta2_range)
+    _sweep_point_count(step, theta1_range, theta2_range)
     t1 = _grid(*theta1_range, step)
     t2 = _grid(*theta2_range, step)
     g1, g2 = np.meshgrid(t1, t2, indexing="ij")
@@ -213,6 +213,8 @@ def quantum_bell_sweep(
         dtype=BELL_POINT_DTYPE,
     )
     _check_bell_columns(points)
+    # the checks above hold only while the records stay as computed
+    points.flags.writeable = False
     minimum = BellPoint(*points[int(np.argmin(points.bell_gap))].tolist())
     return BellSweep(step=step, points=points, minimum=minimum)
 

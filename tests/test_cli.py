@@ -77,10 +77,14 @@ class TestParsing:
         assert "--grid-step 1e-300 gives more than 4,000,000 grid points" in err
         assert "--seed must not be negative" in err
 
+    def test_unused_negative_seed_is_accepted(self):
+        # without --samples, singlet-bell draws nothing, so its seed is unused
+        assert parse_args(["singlet-bell", "--seed", "-1"]).seed == -1
+
     def test_grid_cap_admits_a_tenth_of_a_degree(self):
         config = parse_args(["bell-sweep", "--grid-step", "0.1"])
         assert config.grid_step_deg == 0.1
-        assert experiments.sweep_point_count(math.radians(0.1)) == 1801 * 1801
+        assert experiments._sweep_point_count(math.radians(0.1)) == 1801 * 1801
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -245,6 +249,12 @@ class TestRendering:
         env = run(parse_args(["order-demo"]))
         with pytest.raises(ValueError):
             render(env, "yaml")
+
+    def test_results_table_of_other_columns_rejected_in_json(self):
+        env = run(parse_args(["bell-sweep", "--grid-step", "90"]))
+        env.results["points"] = cli.Table(("name",), (["a", "b"],))
+        with pytest.raises(TypeError, match="float64 or bool"):
+            render(env, "json")
 
 
 # sha256 of the stdout of `python -m bellbox bell-sweep --grid-step S --format F`

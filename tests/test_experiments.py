@@ -25,7 +25,7 @@ from bellbox.experiments import (
     order_dependence_report,
     quantum_bell_point,
     quantum_bell_sweep,
-    sweep_point_count,
+    _sweep_point_count,
 )
 from bellbox.lhv import (
     AttributeTriple,
@@ -144,6 +144,11 @@ class TestBellSweep:
         assert isinstance(sweep.minimum, BellPoint)
         assert sweep.minimum == BellPoint(*points[int(np.argmin(points.bell_gap))].tolist())
 
+    def test_points_are_read_only(self):
+        sweep = quantum_bell_sweep(math.radians(30.0))
+        with pytest.raises(ValueError, match="read-only"):
+            sweep.points.bell_gap[0] = -1.0
+
     def test_column_checks_run(self, monkeypatch):
         # only the last row goes out of range, away from the minimum, which
         # BellPoint checks on its own
@@ -158,13 +163,13 @@ class TestBellSweep:
     def test_steps_dividing_180_keep_their_point_count(self):
         for step in (0.1, 0.25, 0.5, 0.75, 1, 2.5, 5, 7.5, 10, 15, 30, 45, 60, 90, 180):
             per_axis = round(180 / step) + 1
-            assert sweep_point_count(math.radians(step)) == per_axis * per_axis, step
+            assert _sweep_point_count(math.radians(step)) == per_axis * per_axis, step
 
     def test_grid_size_is_capped(self):
-        assert sweep_point_count(math.radians(0.1)) == 3_243_601 <= MAX_SWEEP_POINTS
+        assert _sweep_point_count(math.radians(0.1)) == 3_243_601 <= MAX_SWEEP_POINTS
         for step in (math.radians(0.05), 1e-300, 5e-324):
             with pytest.raises(ValueError, match="too fine"):
-                sweep_point_count(step)
+                _sweep_point_count(step)
             with pytest.raises(ValueError, match="too fine"):
                 quantum_bell_sweep(step)
 
@@ -174,7 +179,7 @@ class TestBellSweep:
         step = math.radians(step_deg)
         sweep = quantum_bell_sweep(step, theta2_range=(0.0, 0.0))
         last = sweep.points[-1].theta1
-        assert len(sweep.points) == sweep_point_count(step, theta2_range=(0.0, 0.0))
+        assert len(sweep.points) == _sweep_point_count(step, theta2_range=(0.0, 0.0))
         assert math.degrees(last) <= 180.0 + 1e-9 * step_deg
         assert math.degrees(last + step) > 180.0
 
