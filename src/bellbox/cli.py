@@ -13,8 +13,6 @@ variable when it is set.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -88,10 +86,10 @@ class Table:
     the text format.  A Table inside results renders in JSON as a list of
     objects keyed by its header; its columns must be finite float64 or bool.
 
-    columns holds one sequence per header entry, all of one length; float64
-    and bool arrays are rendered a whole column at a time.  covers lists the
-    top-level results keys the table already presents, so the text format
-    does not repeat them as scalar lines.
+    columns holds one sequence per header entry, all of one length; each
+    distinct value of a float64 or bool array is formatted once.  covers
+    lists the top-level results keys the table already presents, so the
+    text format does not repeat them as scalar lines.
     """
 
     header: tuple[str, ...]
@@ -203,9 +201,41 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Options that take a float: argparse reads a value such as -1e5 or -inf as
+# an option of its own, not as this option's value.
+_FLOAT_OPTIONS = ("--theta1", "--theta2", "--grid-step")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _takes_float(arg: str) -> bool:
+    """True for a float option, or a prefix argparse may expand to one."""
+    return len(arg) > 2 and arg.startswith("--") and any(
+        option.startswith(arg) for option in _FLOAT_OPTIONS
+    )
+
+
+def _join_negative_floats(argv: list[str]) -> list[str]:
+    """argv with each float option followed by a negative number joined to
+    it ("--theta2=-1e5"), so argparse reads the number as its value."""
+    out = []
+    for arg in argv:
+        if out and _takes_float(out[-1]) and arg.startswith("-") and _is_float(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def parse_args(argv=None) -> RunConfig:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_negative_floats(sys.argv[1:] if argv is None else list(argv)))
     theta1 = getattr(ns, "theta1", 60.0)
     theta2 = getattr(ns, "theta2", 120.0)
     samples = getattr(ns, "samples", None)
@@ -214,6 +244,8 @@ def parse_args(argv=None) -> RunConfig:
         parser.error("angles must be finite")
     if samples is not None and samples < 1:
         parser.error("--samples must be at least 1")
+    if samples is not None and samples > experiments.MAX_SAMPLES:
+        parser.error(f"--samples must be at most {experiments.MAX_SAMPLES:,}")
     seed = getattr(ns, "seed", 0)
     # the seed is used only when something is sampled
     if seed < 0 and samples is not None:
@@ -588,58 +620,89 @@ def _is_column(column, dtype) -> bool:
     return isinstance(column, np.ndarray) and column.dtype == dtype
 
 
-def _format12(values: list) -> list[str]:
-    return list(map("{:.12g}".format, values))
+def _distinct_cells(column) -> tuple[list[str], np.ndarray]:
+    """The cell texts of one Table column, as _cell writes them: the text of
+    each distinct value present, and the index of each row's value in that
+    list.
 
-
-def _json12(values: list) -> list[str]:
-    # json.dumps writes a float as its repr
-    return list(map(repr, map(float, _format12(values))))
-
-
-def _map_distinct(fn, column: np.ndarray) -> list[str]:
-    """fn applied to the distinct values of a float64 column, spread back
-    over the whole column.
-
-    Sweep columns repeat a few hundred values each.  Values are told apart by
-    their bits, so -0.0 and 0.0 stay distinct."""
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    texts = np.array(fn(bits.view(np.float64).tolist()), dtype=object)
-    return texts[inverse.reshape(-1)].tolist()
-
-
-def _column_cells(column) -> list[str]:
-    """The CSV and text cells of one Table column, as _cell writes them."""
+    Sweep columns repeat a few hundred values each, so each is formatted
+    once.  Floats are told apart by their bits, so -0.0 and 0.0 stay
+    distinct."""
     if _is_column(column, np.float64):
-        return _map_distinct(_format12, column)
+        bits, index = np.unique(column.view(np.int64), return_inverse=True)
+        return list(map("{:.12g}".format, bits.view(np.float64).tolist())), index.reshape(-1)
     if _is_column(column, np.bool_):
-        return np.where(column, "true", "false").tolist()
-    return [_cell(v) for v in column]
+        values, index = np.unique(column, return_inverse=True)
+        return [_cell(v) for v in values.tolist()], index.reshape(-1)
+    return [_cell(v) for v in column], np.arange(len(column))
 
 
-def _json_cells(column) -> list[str]:
+def _gather(texts, index: np.ndarray) -> np.ndarray:
+    """The cells texts[index] as an object array."""
+    return np.array(list(texts), dtype=object)[index]
+
+
+def _json_number(text: str) -> str:
+    """json.dumps's text for float(text), where text is a finite float
+    written with ".12g": the same digits, with ".0" added to a whole number.
+    Texts with an exponent go through float and repr, which write some of
+    them differently (1e+13 without the exponent, subnormals with fewer
+    digits)."""
+    if "e" in text:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
+
+
+def _json_cells(column) -> np.ndarray:
     """The JSON text of each value in one Table column, as json.dumps writes
     _jsonify's copy of it.  Only finite float64 and bool columns are
     supported."""
     if _is_column(column, np.float64) and np.isfinite(column).all():
-        return _map_distinct(_json12, column)
+        texts, index = _distinct_cells(column)
+        return _gather(map(_json_number, texts), index)
     if _is_column(column, np.bool_):
-        return _column_cells(column)
+        return _gather(*_distinct_cells(column))
     raise TypeError("a Table inside results needs finite float64 or bool columns")
 
 
-def _json_rows(table: Table, indent: str) -> str:
+# Rows joined into one string at a time: enough to make the per-block cost
+# small, few enough that a block stays well under the size of a report.
+_BLOCK_ROWS = 8192
+
+
+def _row_blocks(cells: list[np.ndarray], seps) -> list[str]:
+    """The rows of a table as text, one string per block of _BLOCK_ROWS rows.
+
+    cells holds one object array of str per column, all of one length; row i
+    is seps[0] + cells[0][i] + seps[1] + ... + cells[-1][i] + seps[-1]."""
+    count = len(cells[0])
+    block = np.empty((min(count, _BLOCK_ROWS), 2 * len(cells) + 1), dtype=object)
+    block[:, 0::2] = seps
+    blocks = []
+    for start in range(0, count, _BLOCK_ROWS):
+        rows = block[: min(count - start, _BLOCK_ROWS)]
+        for j, column in enumerate(cells):
+            rows[:, 2 * j + 1] = column[start:start + len(rows)]
+        blocks.append("".join(rows.ravel().tolist()))
+    return blocks
+
+
+def _json_rows(table: Table, indent: str) -> list[str]:
     """The table as json.dumps(indent=2) writes a list of objects whose
     opening line is indented by indent."""
     if not len(table):
-        return "[]"
+        return ["[]"]
     inner = indent + "  "
-    fields = (",\n" + inner + "  ").join(
-        json.dumps(key).replace("%", "%%") + ": %s" for key in table.header
-    )
-    template = inner + "{\n" + inner + "  " + fields + "\n" + inner + "}"
-    rows = map(template.__mod__, zip(*map(_json_cells, table.columns)))
-    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+    keys = [json.dumps(key) + ": " for key in table.header]
+    seps = [inner + "{\n" + inner + "  " + keys[0]]
+    seps += [",\n" + inner + "  " + key for key in keys[1:]]
+    cells = [_json_cells(column) for column in table.columns]
+    # every row but the last is followed by a comma
+    return [
+        "[\n",
+        *_row_blocks([c[:-1] for c in cells], seps + ["\n" + inner + "},\n"]),
+        *_row_blocks([c[-1:] for c in cells], seps + ["\n" + inner + "}\n" + indent + "]"]),
+    ]
 
 
 def _flatten_leaves(value, prefix: str = ""):
@@ -668,21 +731,38 @@ def _envelope_doc(env: ReportEnvelope, tables: list) -> dict:
 def _render_json(env: ReportEnvelope) -> str:
     tables = []
     text = json.dumps(_envelope_doc(env, tables), indent=2) + "\n"
-    for index in reversed(range(len(tables))):
+    pieces, start = [], 0
+    for index, table in enumerate(tables):
         token = json.dumps(_placeholder(index))
-        at = text.rindex(token)
+        at = text.index(token, start)
         line = text[text.rindex("\n", 0, at) + 1:at]
         indent = line[: len(line) - len(line.lstrip(" "))]
-        text = text[:at] + _json_rows(tables[index], indent) + text[at + len(token):]
-    return text
+        pieces += [text[start:at], *_json_rows(table, indent)]
+        start = at + len(token)
+    pieces.append(text[start:])
+    return "".join(pieces)
+
+
+def _csv_field(text: str, alone: bool) -> str:
+    """A cell as csv.writer writes it with the default dialect and "\\n" line
+    ends: quoted, with its quotes doubled, when it holds a comma, a quote or
+    a newline.  alone says the cell is the only one in its row."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    # an empty row would read as a blank line
+    return '""' if alone and not text else text
 
 
 def _render_csv(env: ReportEnvelope) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(env.table.header)
-    writer.writerows(zip(*map(_column_cells, env.table.columns)))
-    return buf.getvalue()
+    table = env.table
+    alone = len(table.header) == 1
+    cells = []
+    for column in table.columns:
+        texts, index = _distinct_cells(column)
+        cells.append(_gather([_csv_field(t, alone) for t in texts], index))
+    header = ",".join(_csv_field(str(h), alone) for h in table.header) + "\n"
+    seps = ["", *[","] * (len(cells) - 1), "\n"]
+    return "".join([header, *_row_blocks(cells, seps)])
 
 
 def _is_rows(value) -> bool:
@@ -725,13 +805,32 @@ def _render_text(env: ReportEnvelope) -> str:
         lines.append("")
         lines.extend(scalars)
     lines.append("")
-    columns = [
-        [str(h), *_column_cells(column)]
-        for h, column in zip(env.table.header, env.table.columns)
-    ]
-    template = "  ".join(f"%-{max(map(len, cells))}s" for cells in columns)
-    lines.extend(line.rstrip() for line in map(template.__mod__, zip(*columns)))
-    return "\n".join(lines) + "\n"
+    return "".join(["\n".join(lines) + "\n", *_text_table(env.table)])
+
+
+def _text_table(table: Table) -> list[str]:
+    """The table as lines of text: the header, then one line per row.  Each
+    column is padded to its widest cell, columns are two spaces apart, and
+    each line loses its trailing whitespace."""
+    header = [str(h) for h in table.header]
+    distinct = [_distinct_cells(column) for column in table.columns]
+    widths = [max([len(h), *map(len, texts)]) for h, (texts, _) in zip(header, distinct)]
+    cells = []
+    # rows whose cells right of the current column are all blank: the line
+    # ends in this column, cut after its last non-blank character
+    ends_here = np.ones(len(table), dtype=bool)
+    for j in reversed(range(len(distinct))):
+        texts, index = distinct[j]
+        lead = "  " if j else ""
+        column = _gather((lead + t.ljust(widths[j]) for t in texts), index)
+        if ends_here.any():
+            cut = np.array([(lead + t).rstrip() for t in texts], dtype=object)
+            column[ends_here] = cut[index[ends_here]]
+            ends_here &= (cut == "")[index]
+        cells.append(column)
+    cells.reverse()
+    header_line = "  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
+    return [header_line, *_row_blocks(cells, [""] * len(cells) + ["\n"])]
 
 
 def render(env: ReportEnvelope, fmt: str) -> str:
@@ -753,13 +852,23 @@ def resolve_output_path(destination: str) -> Path:
     return path
 
 
+# Characters written at a time, so that encoding never copies a whole report.
+_WRITE_CHARS = 1 << 20
+
+
+def _write(stream, text: str) -> None:
+    for start in range(0, len(text), _WRITE_CHARS):
+        stream.write(text[start:start + _WRITE_CHARS])
+
+
 def emit(env: ReportEnvelope, fmt: str, destination: str | None = None) -> None:
     """Render and write the report; destination None means stdout."""
     text = render(env, fmt)
     if destination is None:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
     else:
-        resolve_output_path(destination).write_text(text, encoding="utf-8")
+        with open(resolve_output_path(destination), "w", encoding="utf-8") as out:
+            _write(out, text)
 
 
 def main(argv=None) -> int:

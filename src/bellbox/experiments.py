@@ -157,6 +157,9 @@ class BellSweep:
 # [0, 180] squared (1801 x 1801 = 3,243,601 points) fits, 0.05 degree does not.
 MAX_SWEEP_POINTS = 4_000_000
 _TOO_FINE = f"grid step too fine: more than {MAX_SWEEP_POINTS:,} points"
+# Most draws one Monte Carlo call makes.  Draws are held as arrays of about
+# 24 bytes each: a report at the cap peaks at 190 to 265 MB.
+MAX_SAMPLES = 10**7
 
 
 def _axis_size(lo: float, hi: float, step: float) -> int:
@@ -240,6 +243,15 @@ class McEstimate:
         return cls(est, samples, math.sqrt(est * (1.0 - est) / samples), seed)
 
 
+def _check_sampling(samples: int, shards: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES:,}")
+    if shards < 1:
+        raise ValueError("shards must be at least 1")
+
+
 def _shard_sizes(samples: int, shards: int) -> list[int]:
     base, extra = divmod(samples, shards)
     return [base + (1 if i < extra else 0) for i in range(shards)]
@@ -272,10 +284,7 @@ def mc_bell_estimate(
     Born distribution; the estimate counts the both-positive outcome.  Within
     a shard the pairs are drawn in AB, BC, AC order from one stream.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
+    _check_sampling(samples, shards)
     state = singlet_state()
     pair_axes = _pair_axes(theta1, theta2)
     outcome_patterns = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -321,10 +330,7 @@ def mc_classical_estimate(
     Boxes are drawn whole, so one draw feeds all tallied quantities at once;
     the merged result is deterministic given (seed, shards).
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
+    _check_sampling(samples, shards)
     if ens.boxing_type is GhzBoxing:
         return _mc_ghz(ens, samples, seed, shards)
     return _mc_singlet(ens, samples, seed, shards)
@@ -475,13 +481,3 @@ def impossible_outcomes_check() -> ImpossibleOutcomesReport:
             )
     return ImpossibleOutcomesReport(tuple(rows), all(r.ok for r in rows))
 
-
-def closed_form_sequential(theta1: float, theta2: float) -> tuple[float, float]:
-    """Reference values for order_dependence_report: half the squared sine of
-    half the first measured angle times the squared cosine of half the angle
-    between the later two."""
-    shared = math.cos((theta2 - theta1) / 2.0) ** 2
-    return (
-        0.5 * math.sin(theta1 / 2.0) ** 2 * shared,
-        0.5 * math.sin(theta2 / 2.0) ** 2 * shared,
-    )

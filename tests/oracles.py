@@ -1,0 +1,98 @@
+"""Reference implementations the tests compare the package against.
+
+closed_form_sequential is the textbook formula for the sequential
+measurements.  The render_* functions are bellbox's earlier per-row
+renderers: csv.writer for CSV, one %-template per row for the text table
+and for the JSON rows of a Table inside results.  cli renders whole blocks
+of rows at a time and must write the same bytes."""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+
+from bellbox import cli
+
+
+def closed_form_sequential(theta1: float, theta2: float) -> tuple[float, float]:
+    """Reference values for order_dependence_report: half the squared sine of
+    half the first measured angle times the squared cosine of half the angle
+    between the later two."""
+    shared = math.cos((theta2 - theta1) / 2.0) ** 2
+    return (
+        0.5 * math.sin(theta1 / 2.0) ** 2 * shared,
+        0.5 * math.sin(theta2 / 2.0) ** 2 * shared,
+    )
+
+
+def _cells(column) -> list[str]:
+    return [cli._cell(v) for v in column]
+
+
+def _json_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return json.dumps(float(format(float(value), ".12g")))
+
+
+def _json_rows(table: cli.Table, indent: str) -> str:
+    if not len(table):
+        return "[]"
+    inner = indent + "  "
+    fields = (",\n" + inner + "  ").join(
+        json.dumps(key).replace("%", "%%") + ": %s" for key in table.header
+    )
+    template = inner + "{\n" + inner + "  " + fields + "\n" + inner + "}"
+    columns = [[_json_cell(v) for v in column] for column in table.columns]
+    rows = map(template.__mod__, zip(*columns))
+    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+
+
+def render_json(env: cli.ReportEnvelope) -> str:
+    tables = []
+    text = json.dumps(cli._envelope_doc(env, tables), indent=2) + "\n"
+    for index in reversed(range(len(tables))):
+        token = json.dumps(cli._placeholder(index))
+        at = text.rindex(token)
+        line = text[text.rindex("\n", 0, at) + 1:at]
+        indent = line[: len(line) - len(line.lstrip(" "))]
+        text = text[:at] + _json_rows(tables[index], indent) + text[at + len(token):]
+    return text
+
+
+def render_csv(env: cli.ReportEnvelope) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(env.table.header)
+    writer.writerows(zip(*map(_cells, env.table.columns)))
+    return buf.getvalue()
+
+
+def render_text(env: cli.ReportEnvelope) -> str:
+    lines = [f"{cli.TOOL_NAME} {env.command}"]
+    config_bits = " ".join(
+        f"{k}={cli._cell(v)}" for k, v in env.config.items() if v is not None
+    )
+    lines.append(f"config: {config_bits}")
+    lines.append(
+        "provenance: exact={} sampled={}".format(
+            cli._cell(env.provenance["exact"]), cli._cell(env.provenance["sampled"])
+        )
+    )
+    scalars = cli._text_scalars(env.results, env.table.covers)
+    if scalars:
+        lines.append("")
+        lines.extend(scalars)
+    lines.append("")
+    columns = [
+        [str(h), *_cells(column)]
+        for h, column in zip(env.table.header, env.table.columns)
+    ]
+    template = "  ".join(f"%-{max(map(len, cells))}s" for cells in columns)
+    lines.extend(line.rstrip() for line in map(template.__mod__, zip(*columns)))
+    return "\n".join(lines) + "\n"
+
+
+RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}

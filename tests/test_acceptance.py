@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from bellbox.experiments import (
-    closed_form_sequential,
     mc_bell_estimate,
     mc_classical_estimate,
     order_dependence_report,
@@ -37,6 +36,7 @@ from bellbox.quantum import (
     singlet_state,
 )
 from bellbox.cli import main as cli_main
+from oracles import closed_form_sequential
 
 T1_DEG, T2_DEG = 60.0, 120.0
 T1, T2 = math.radians(T1_DEG), math.radians(T2_DEG)

@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, report payloads, schema
 conformance of the JSON output, CSV/text rendering, file output, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,13 +12,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bellbox
 from bellbox import cli
 from bellbox.cli import SCHEMA_PATH, main, parse_args, render, run
 from bellbox import experiments
 from bellbox.experiments import PhysicsAssertionError
+from oracles import RENDERERS
 
 # one argv per distinct report shape the schema must cover
 VARIANTS = [
@@ -72,10 +76,37 @@ class TestParsing:
         assert main(["classical-mc", "singlet", "--seed", "-1"]) == 1
         assert main(["classical-mc", "ghz", "--seed", "-5"]) == 1
         assert main(["singlet-bell", "--samples", "10", "--seed", "-1"]) == 1
+        assert main(["classical-mc", "singlet", "--samples", "10000001"]) == 1
+        assert main(["classical-mc", "ghz", "--samples", "99999999999999999999999"]) == 1
+        assert main(["singlet-bell", "--samples", "1000000000000"]) == 1
+        assert main(["singlet-bell", "--theta1", "-inf"]) == 1
+        assert main(["bell-sweep", "--grid-step", "-1e-3"]) == 1
+        assert main(["bell-sweep", "--grid", "-1e-3"]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "--grid-step 1e-300 gives more than 4,000,000 grid points" in err
         assert "--seed must not be negative" in err
+        assert "--samples must be at most 10,000,000" in err
+        assert "angles must be finite" in err
+        assert "--grid-step must be positive" in err
+        assert "expected one argument" not in err
+
+    def test_sample_cap_is_inclusive(self):
+        argv = ["classical-mc", "ghz", "--samples", str(experiments.MAX_SAMPLES)]
+        assert parse_args(argv).samples == experiments.MAX_SAMPLES
+
+    def test_negative_values_with_exponents(self, capsys):
+        # argparse alone reads -1e5 as an option, not as the value of --theta2
+        for joined in (["--theta2=-1e5"], ["--theta1=-3e299", "--theta2=-2.5E-3"]):
+            spaced = [part for arg in joined for part in arg.split("=")]
+            assert main(["singlet-bell", *joined, "--format", "json"]) == 0
+            want = capsys.readouterr().out
+            assert main(["singlet-bell", *spaced, "--format", "json"]) == 0
+            assert capsys.readouterr().out == want
+        assert parse_args(["order-demo", "--theta1", "-1e1"]).theta1_deg == -10.0
+        # argparse expands a unique prefix of an option
+        assert parse_args(["state-report", "--the", "-1e1"]).theta1_deg == -10.0
+        assert parse_args(["bell-sweep", "--grid", "15"]).grid_step_deg == 15.0
 
     def test_unused_negative_seed_is_accepted(self):
         # without --samples, singlet-bell draws nothing, so its seed is unused
@@ -258,8 +289,12 @@ class TestRendering:
 
 
 # sha256 of the stdout of `python -m bellbox bell-sweep --grid-step S --format F`
-# as written before the sweep was stored and rendered as columns
+# as written before the sweep was stored and rendered as columns (1, 15), and
+# before its rows were rendered a block at a time (0.5)
 SWEEP_DIGESTS = {
+    ("0.5", "json"): "3ecc98afc479b7e73eafcdf9d7f03fbb5c05ae5688790680ef435c5bc412c114",
+    ("0.5", "csv"): "84b3b0abf549449b8d9427ed6ca93dbcb74403082e34365166a71f4ea30f8868",
+    ("0.5", "text"): "a2e2f2e93934770b748aab417ad20e182720e3d874a6fe8510fec44284d4f073",
     ("1", "json"): "ac4d75ba13f8a5b79d80f6fa671eb799e30686458f5221ad9331694444718f49",
     ("1", "csv"): "7054e04f434e4a01588ed0f85de8f2072f169e87e528bff9a15c77c3d8722b2a",
     ("1", "text"): "fe9b550754a370171946f6bd15d784e67d2a3f78bb4ca2366cf08c422a20df53",
@@ -279,7 +314,100 @@ def test_sweep_report_bytes_are_pinned(step, fmt):
     assert hashlib.sha256(proc.stdout).hexdigest() == SWEEP_DIGESTS[step, fmt]
 
 
+BLOCK = cli._BLOCK_ROWS
+# cells that csv.writer quotes or that rstrip cuts from the end of a line
+AWKWARD = ("a,b", 'say "hi"', "", "two\nlines", "cr\r", "pad  ", " ", "plain")
+
+
+def _sweep_env(rows: int) -> cli.ReportEnvelope:
+    """A bell-sweep report cut or repeated to rows points; its CSV and text
+    table has one more column, of AWKWARD strings."""
+    env = run(parse_args(["bell-sweep", "--grid-step", "15"]))
+    columns = tuple(np.resize(column, rows) for column in env.table.columns)
+    notes = tuple(AWKWARD[i % len(AWKWARD)] for i in range(rows))
+    results = dict(env.results, points=cli.Table(cli.BELL_POINT_KEYS, columns))
+    table = cli.Table(env.table.header + ("note",), columns + (notes,), env.table.covers)
+    return dataclasses.replace(env, results=results, table=table)
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 2])
+@pytest.mark.parametrize("fmt", sorted(RENDERERS))
+def test_render_matches_oracle_at_block_edges(fmt, rows):
+    env = _sweep_env(rows)
+    assert render(env, fmt) == RENDERERS[fmt](env)
+
+
+# header and cell texts: CSV specials, whitespace rstrip may cut, and %
+TEXTS = st.text(alphabet=[",", '"', "\n", "\r", " ", "\t", "%", "a", "é"], max_size=4)
+
+
+@st.composite
+def tables(draw, results_only=False):
+    """Small Tables of random columns; results_only keeps to the finite
+    float64 and bool columns a Table inside results may hold."""
+    kinds = ("float", "bool") if results_only else ("str", "int", "float", "bool")
+    floats = st.floats(allow_nan=not results_only, allow_infinity=not results_only)
+    rows = draw(st.integers(0, 5))
+    header, columns = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        header.append(draw(TEXTS))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "str":
+            values = tuple(draw(st.lists(TEXTS, min_size=rows, max_size=rows)))
+        elif kind == "int":
+            values = tuple(draw(st.lists(st.integers(-10**6, 10**6), min_size=rows, max_size=rows)))
+        elif kind == "float":
+            values = np.array(draw(st.lists(floats, min_size=rows, max_size=rows)), dtype=np.float64)
+        else:
+            values = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+        columns.append(values)
+    return cli.Table(tuple(header), tuple(columns))
+
+
+def _envelope(results: dict, table: cli.Table) -> cli.ReportEnvelope:
+    return cli.ReportEnvelope("demo", {"format": "text"}, {"exact": True, "sampled": False},
+                              results, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_csv_and_text_tables_match_oracle(table):
+    env = _envelope({"n": 1}, table)
+    for fmt in ("csv", "text"):
+        assert render(env, fmt) == RENDERERS[fmt](env)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(results_only=True), tables(results_only=True))
+def test_json_tables_in_results_match_oracle(first, second):
+    env = _envelope({"first": first, "nested": {"second": second, "n": 2}}, first)
+    assert render(env, "json") == RENDERERS["json"](env)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(123.0)
+@example(1.5e-7)
+@example(999999999999.9)
+@example(3.0e13)
+@example(1e16)
+@example(2.22507385852e-313)
+def test_json_number_text_skips_the_float_round_trip(x):
+    text = format(x, ".12g")
+    assert cli._json_number(text) == repr(float(text))
+
+
 class TestOutputAndExitCodes:
+    def test_report_written_in_slices(self, tmp_path, monkeypatch, capsys):
+        argv = ["bell-sweep", "--grid-step", "30", "--format", "csv"]
+        want = render(run(parse_args(argv)), "csv")
+        monkeypatch.setattr(cli, "_WRITE_CHARS", 7)
+        assert main(argv + ["--output", str(tmp_path / "sweep.csv")]) == 0
+        assert main(argv) == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == want.encode()
+        assert capsys.readouterr().out == want
+
     def test_writes_report_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         assert main(["order-demo", "--format", "json", "--output", str(target)]) == 0

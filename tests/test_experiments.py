@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from bellbox import experiments
 from bellbox.experiments import (
     BELL_POINT_DTYPE,
+    MAX_SAMPLES,
     MAX_SWEEP_POINTS,
     BellPoint,
     McEstimate,
     PhysicsAssertionError,
-    closed_form_sequential,
     ghz_contradiction_report,
     impossible_outcomes_check,
     mc_bell_estimate,
@@ -35,6 +35,8 @@ from bellbox.lhv import (
     build_singlet_ensemble,
 )
 from fractions import Fraction
+
+from oracles import closed_form_sequential
 
 REF_T1 = math.pi / 3.0
 REF_T2 = 2.0 * math.pi / 3.0
@@ -215,6 +217,10 @@ class TestMcBell:
             mc_bell_estimate(0.0, 0.0, samples=0, seed=0)
         with pytest.raises(ValueError):
             mc_bell_estimate(0.0, 0.0, samples=10, seed=0, shards=0)
+        # rejected before anything is drawn
+        for samples in (MAX_SAMPLES + 1, 10**23):
+            with pytest.raises(ValueError, match="at most 10,000,000"):
+                mc_bell_estimate(0.0, 0.0, samples=samples, seed=0)
 
 
 class TestMcClassical:
@@ -237,6 +243,12 @@ class TestMcClassical:
         assert report.means == (1.0, 1.0, 1.0, 1.0)
         assert report.constant_on_draws == (True, True, True, True)
         assert report.samples == 100_000
+
+    def test_sample_cap(self):
+        for ens in (build_singlet_ensemble(), build_ghz_ensemble()):
+            for samples in (MAX_SAMPLES + 1, 10**23):
+                with pytest.raises(ValueError, match="at most 10,000,000"):
+                    mc_classical_estimate(ens, samples, seed=0)
 
     def test_determinism(self):
         ens = build_singlet_ensemble()
