@@ -637,31 +637,21 @@ def _distinct_cells(column) -> tuple[list[str], np.ndarray]:
     return [_cell(v) for v in column], np.arange(len(column))
 
 
-def _gather(texts, index: np.ndarray) -> np.ndarray:
-    """The cells texts[index] as an object array."""
-    return np.array(list(texts), dtype=object)[index]
+def _texts(strings) -> np.ndarray:
+    """strings as an object array, from which cells are gathered by index."""
+    return np.array(list(strings), dtype=object)
 
 
-def _json_number(text: str) -> str:
-    """json.dumps's text for float(text), where text is a finite float
-    written with ".12g": the same digits, with ".0" added to a whole number.
-    Texts with an exponent go through float and repr, which write some of
-    them differently (1e+13 without the exponent, subnormals with fewer
-    digits)."""
-    if "e" in text:
-        return repr(float(text))
-    return text if "." in text else text + ".0"
-
-
-def _json_cells(column) -> np.ndarray:
+def _json_cells(column) -> tuple[np.ndarray, np.ndarray]:
     """The JSON text of each value in one Table column, as json.dumps writes
-    _jsonify's copy of it.  Only finite float64 and bool columns are
-    supported."""
+    _jsonify's copy of it: the texts of the distinct values and each row's
+    index into them.  Only finite float64 and bool columns are supported."""
     if _is_column(column, np.float64) and np.isfinite(column).all():
         texts, index = _distinct_cells(column)
-        return _gather(map(_json_number, texts), index)
+        return _texts(repr(float(t)) for t in texts), index
     if _is_column(column, np.bool_):
-        return _gather(*_distinct_cells(column))
+        texts, index = _distinct_cells(column)
+        return _texts(texts), index
     raise TypeError("a Table inside results needs finite float64 or bool columns")
 
 
@@ -670,19 +660,23 @@ def _json_cells(column) -> np.ndarray:
 _BLOCK_ROWS = 8192
 
 
-def _row_blocks(cells: list[np.ndarray], seps) -> list[str]:
+def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray]], seps) -> list[str]:
     """The rows of a table as text, one string per block of _BLOCK_ROWS rows.
 
-    cells holds one object array of str per column, all of one length; row i
-    is seps[0] + cells[0][i] + seps[1] + ... + cells[-1][i] + seps[-1]."""
-    count = len(cells[0])
-    block = np.empty((min(count, _BLOCK_ROWS), 2 * len(cells) + 1), dtype=object)
+    columns holds one (texts, index) pair per column: an object array of
+    str and the index into it of each row's cell, all indexes of one length.
+    Row i is seps[0] + texts[index[i]] of the first column + seps[1] + ...
+    + seps[-1].  Cells are gathered a block at a time, so no whole column of
+    them is ever held."""
+    count = len(columns[0][1])
+    block = np.empty((min(count, _BLOCK_ROWS), 2 * len(columns) + 1), dtype=object)
     block[:, 0::2] = seps
     blocks = []
     for start in range(0, count, _BLOCK_ROWS):
-        rows = block[: min(count - start, _BLOCK_ROWS)]
-        for j, column in enumerate(cells):
-            rows[:, 2 * j + 1] = column[start:start + len(rows)]
+        stop = min(count, start + _BLOCK_ROWS)
+        rows = block[: stop - start]
+        for j, (texts, index) in enumerate(columns):
+            rows[:, 2 * j + 1] = texts[index[start:stop]]
         blocks.append("".join(rows.ravel().tolist()))
     return blocks
 
@@ -696,12 +690,12 @@ def _json_rows(table: Table, indent: str) -> list[str]:
     keys = [json.dumps(key) + ": " for key in table.header]
     seps = [inner + "{\n" + inner + "  " + keys[0]]
     seps += [",\n" + inner + "  " + key for key in keys[1:]]
-    cells = [_json_cells(column) for column in table.columns]
+    columns = [_json_cells(column) for column in table.columns]
     # every row but the last is followed by a comma
     return [
         "[\n",
-        *_row_blocks([c[:-1] for c in cells], seps + ["\n" + inner + "},\n"]),
-        *_row_blocks([c[-1:] for c in cells], seps + ["\n" + inner + "}\n" + indent + "]"]),
+        *_row_blocks([(t, i[:-1]) for t, i in columns], seps + ["\n" + inner + "},\n"]),
+        *_row_blocks([(t, i[-1:]) for t, i in columns], seps + ["\n" + inner + "}\n" + indent + "]"]),
     ]
 
 
@@ -744,25 +738,34 @@ def _render_json(env: ReportEnvelope) -> str:
 
 
 def _csv_field(text: str, alone: bool) -> str:
-    """A cell as csv.writer writes it with the default dialect and "\\n" line
-    ends: quoted, with its quotes doubled, when it holds a comma, a quote or
-    a newline.  alone says the cell is the only one in its row."""
+    """A cell as Python 3.11's csv.writer writes it with the default dialect
+    and "\\n" line ends: quoted, with its quotes doubled, when it holds a
+    comma, a quote or a newline.  A carriage return alone is not quoted.
+    alone says the cell is the only one in its row.
+
+    The rule is fixed here rather than taken from the running interpreter's
+    csv module, so a report's bytes do not depend on the Python version."""
     if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     # an empty row would read as a blank line
     return '""' if alone and not text else text
 
 
-def _render_csv(env: ReportEnvelope) -> str:
-    table = env.table
+def _csv_rows(table: Table) -> list[str]:
+    """The CSV text of the table: the header line, then the rows in blocks."""
     alone = len(table.header) == 1
-    cells = []
+    columns = []
     for column in table.columns:
         texts, index = _distinct_cells(column)
-        cells.append(_gather([_csv_field(t, alone) for t in texts], index))
+        columns.append((_texts(_csv_field(t, alone) for t in texts), index))
     header = ",".join(_csv_field(str(h), alone) for h in table.header) + "\n"
-    seps = ["", *[","] * (len(cells) - 1), "\n"]
-    return "".join([header, *_row_blocks(cells, seps)])
+    seps = ["", *[","] * (len(columns) - 1), "\n"]
+    return [header, *_row_blocks(columns, seps)]
+
+
+def _render_csv(env: ReportEnvelope) -> str:
+    # the row indexes are dropped before the blocks are joined
+    return "".join(_csv_rows(env.table))
 
 
 def _is_rows(value) -> bool:
@@ -815,22 +818,25 @@ def _text_table(table: Table) -> list[str]:
     header = [str(h) for h in table.header]
     distinct = [_distinct_cells(column) for column in table.columns]
     widths = [max([len(h), *map(len, texts)]) for h, (texts, _) in zip(header, distinct)]
-    cells = []
+    columns = []
     # rows whose cells right of the current column are all blank: the line
-    # ends in this column, cut after its last non-blank character
+    # ends in this column, cut after its last non-blank character.  Such a
+    # row's index points past the padded texts, to the cut ones.
     ends_here = np.ones(len(table), dtype=bool)
     for j in reversed(range(len(distinct))):
         texts, index = distinct[j]
         lead = "  " if j else ""
-        column = _gather((lead + t.ljust(widths[j]) for t in texts), index)
+        padded = [lead + t.ljust(widths[j]) for t in texts]
         if ends_here.any():
-            cut = np.array([(lead + t).rstrip() for t in texts], dtype=object)
-            column[ends_here] = cut[index[ends_here]]
-            ends_here &= (cut == "")[index]
-        cells.append(column)
-    cells.reverse()
+            cut = [(lead + t).rstrip() for t in texts]
+            blank = np.array([not c for c in cut], dtype=bool)[index]
+            index[ends_here] += len(texts)
+            ends_here &= blank
+            padded += cut
+        columns.append((_texts(padded), index))
+    columns.reverse()
     header_line = "  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
-    return [header_line, *_row_blocks(cells, [""] * len(cells) + ["\n"])]
+    return [header_line, *_row_blocks(columns, [""] * len(columns) + ["\n"])]
 
 
 def render(env: ReportEnvelope, fmt: str) -> str:
