@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,42 +31,25 @@ SCHEMA_VERSION = "1"
 OUTPUT_DIR_ENV = "BELLBOX_OUTPUT_DIR"
 SCHEMA_PATH = Path(__file__).with_name("report_schema.json")
 
-COMMANDS = (
-    "singlet-bell",
-    "bell-sweep",
-    "ghz-parity",
-    "order-demo",
-    "lhv-enumerate",
-    "classical-mc",
-    "state-report",
-)
-
 BELL_ROW_HEADER = ("theta1_deg", "theta2_deg", "p_ab", "p_bc", "p_ac", "bell_gap", "violated")
 # the same fields as JSON keys
 BELL_POINT_KEYS = ("theta1_deg", "theta2_deg", "p_q_ab", "p_q_bc", "p_q_ac", "bell_gap", "violated")
 
-_CONFIG_KEYS = (
-    "theta1_deg",
-    "theta2_deg",
-    "samples",
-    "seed",
-    "grid_step_deg",
-    "target",
-    "format",
-    "output",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One command's settings: each field is a parser option's dest.  A field
+    the command's subparser does not declare is None; defaults live in the
+    parser only.  run echoes every field but command, output_path as "output"."""
+
     command: str
-    theta1_deg: float = 60.0
-    theta2_deg: float = 120.0
+    theta1_deg: float | None = None
+    theta2_deg: float | None = None
     samples: int | None = None
-    seed: int = 0
-    grid_step_deg: float = 1.0
+    seed: int | None = None
+    grid_step_deg: float | None = None
     target: str | None = None
-    format: str = "text"
+    format: str | None = None
     output_path: str | None = None
 
     # Degrees are reduced mod 360 before the conversion, so a huge finite
@@ -131,6 +114,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--output",
+        dest="output_path",
         metavar="PATH",
         help="write the report to a file instead of stdout; relative paths "
         f"resolve against ${OUTPUT_DIR_ENV} when set",
@@ -138,9 +122,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_angles(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta1", type=float, default=60.0, metavar="DEG",
+    p.add_argument("--theta1", dest="theta1_deg", type=float, default=60.0, metavar="DEG",
                    help="first measurement angle in degrees (default: 60)")
-    p.add_argument("--theta2", type=float, default=120.0, metavar="DEG",
+    p.add_argument("--theta2", dest="theta2_deg", type=float, default=120.0, metavar="DEG",
                    help="second measurement angle in degrees (default: 120)")
 
 
@@ -163,7 +147,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bell-sweep", help="gap over an inclusive angle grid "
                        "covering [0, 180] degrees on both axes")
-    p.add_argument("--grid-step", type=float, default=1.0, metavar="DEG",
+    p.add_argument("--grid-step", dest="grid_step_deg", type=float, default=1.0, metavar="DEG",
                    help="grid spacing in degrees (default: 1)")
     _add_common(p)
 
@@ -194,7 +178,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("state-report", help="state amplitudes, reduced matrices, "
                        "and mixed-vs-superposition distributions along a probe axis")
-    p.add_argument("--theta1", type=float, default=90.0, metavar="DEG",
+    p.add_argument("--theta1", dest="theta1_deg", type=float, default=90.0, metavar="DEG",
                    help="probe axis polar angle in degrees (default: 90)")
     _add_common(p)
 
@@ -236,21 +220,19 @@ def _join_negative_floats(argv: list[str]) -> list[str]:
 def parse_args(argv=None) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(_join_negative_floats(sys.argv[1:] if argv is None else list(argv)))
-    theta1 = getattr(ns, "theta1", 60.0)
-    theta2 = getattr(ns, "theta2", 120.0)
-    samples = getattr(ns, "samples", None)
-    grid_step = getattr(ns, "grid_step", 1.0)
-    if not (math.isfinite(theta1) and math.isfinite(theta2)):
+    config = RunConfig(**vars(ns))
+    samples, grid_step = config.samples, config.grid_step_deg
+    angles = (config.theta1_deg, config.theta2_deg)
+    if not all(math.isfinite(theta) for theta in angles if theta is not None):
         parser.error("angles must be finite")
     if samples is not None and samples < 1:
         parser.error("--samples must be at least 1")
     if samples is not None and samples > experiments.MAX_SAMPLES:
         parser.error(f"--samples must be at most {experiments.MAX_SAMPLES:,}")
-    seed = getattr(ns, "seed", 0)
     # the seed is used only when something is sampled
-    if seed < 0 and samples is not None:
+    if samples is not None and config.seed < 0:
         parser.error("--seed must not be negative")
-    if ns.command == "bell-sweep":
+    if grid_step is not None:
         if not (math.isfinite(grid_step) and grid_step > 0):
             parser.error("--grid-step must be positive")
         try:
@@ -258,32 +240,7 @@ def parse_args(argv=None) -> RunConfig:
         except ValueError:
             parser.error(f"--grid-step {grid_step:g} gives more than "
                          f"{experiments.MAX_SWEEP_POINTS:,} grid points")
-    return RunConfig(
-        command=ns.command,
-        theta1_deg=theta1,
-        theta2_deg=theta2,
-        samples=samples,
-        seed=seed,
-        grid_step_deg=grid_step,
-        target=getattr(ns, "target", None),
-        format=ns.format,
-        output_path=ns.output,
-    )
-
-
-def _config_echo(config: RunConfig, used: tuple[str, ...]) -> dict:
-    values = {
-        "theta1_deg": config.theta1_deg,
-        "theta2_deg": config.theta2_deg,
-        "samples": config.samples,
-        "seed": config.seed,
-        "grid_step_deg": config.grid_step_deg,
-        "target": config.target,
-        "format": config.format,
-        "output": config.output_path,
-    }
-    used = used + ("format", "output")
-    return {k: (values[k] if k in used else None) for k in _CONFIG_KEYS}
+    return config
 
 
 def _cmd_singlet_bell(config: RunConfig):
@@ -291,8 +248,6 @@ def _cmd_singlet_bell(config: RunConfig):
     row = (config.theta1_deg, config.theta2_deg, point.p_q_AB, point.p_q_BC,
            point.p_q_AC, point.bell_gap, point.violated)
     results = dict(zip(BELL_POINT_KEYS, row))
-    used = ("theta1_deg", "theta2_deg")
-    sampled = False
     if config.samples is not None:
         estimates = experiments.mc_bell_estimate(
             config.theta1, config.theta2, config.samples, config.seed
@@ -306,10 +261,8 @@ def _cmd_singlet_bell(config: RunConfig):
             }
             for label, est in estimates.items()
         }
-        used += ("samples", "seed")
-        sampled = True
     table = Table.from_rows(BELL_ROW_HEADER, [row], covers=BELL_POINT_KEYS)
-    return results, table, {"exact": True, "sampled": sampled}, used
+    return results, table
 
 
 def _cmd_bell_sweep(config: RunConfig):
@@ -327,7 +280,7 @@ def _cmd_bell_sweep(config: RunConfig):
         "points": Table(BELL_POINT_KEYS, columns),
     }
     table = Table(BELL_ROW_HEADER, columns, covers=("points",))
-    return results, table, {"exact": True, "sampled": False}, ("grid_step_deg",)
+    return results, table
 
 
 def _cmd_ghz_parity(config: RunConfig):
@@ -363,7 +316,7 @@ def _cmd_ghz_parity(config: RunConfig):
         ],
         covers=("quantum", "classical"),
     )
-    return results, table, {"exact": True, "sampled": False}, ()
+    return results, table
 
 
 def _cmd_order_demo(config: RunConfig):
@@ -380,7 +333,7 @@ def _cmd_order_demo(config: RunConfig):
         rows=[tuple(results.values())],
         covers=tuple(results),
     )
-    return results, table, {"exact": True, "sampled": False}, ("theta1_deg", "theta2_deg")
+    return results, table
 
 
 def _correlation_fields(report: lhv.CorrelationReport) -> dict:
@@ -448,11 +401,10 @@ def _cmd_lhv_enumerate(config: RunConfig):
             ],
             covers=("vertices",),
         )
-    return results, table, {"exact": True, "sampled": False}, ("target",)
+    return results, table
 
 
 def _cmd_classical_mc(config: RunConfig):
-    used = ("target", "samples", "seed")
     if config.target == "ghz":
         ens = lhv.build_ghz_ensemble()
         report = experiments.mc_classical_estimate(ens, config.samples, config.seed)
@@ -489,7 +441,7 @@ def _cmd_classical_mc(config: RunConfig):
         estimates = {}
         rows = []
         for name, est, oracle in quantities:
-            se = math.sqrt(est * (1.0 - est) / config.samples)
+            se = experiments.binomial_std_error(est, config.samples)
             estimates[name] = {"estimate": est, "std_error": se, "exact": oracle}
             rows.append((name, est, se, oracle))
         results = {
@@ -505,7 +457,7 @@ def _cmd_classical_mc(config: RunConfig):
             rows=rows,
             covers=("estimates",),
         )
-    return results, table, {"exact": True, "sampled": True}, used
+    return results, table
 
 
 def _complex_pairs(amplitudes: np.ndarray) -> list:
@@ -546,7 +498,7 @@ def _cmd_state_report(config: RunConfig):
         rows=rows,
         covers=tuple(results),
     )
-    return results, table, {"exact": True, "sampled": False}, ("theta1_deg",)
+    return results, table
 
 
 _HANDLERS = {
@@ -561,11 +513,18 @@ _HANDLERS = {
 
 
 def run(config: RunConfig) -> ReportEnvelope:
-    results, table, provenance, used = _HANDLERS[config.command](config)
+    results, table = _HANDLERS[config.command](config)
+    echo = asdict(config)
+    del echo["command"]
+    # output_path is the last field, so "output" keeps its place in the echo
+    echo["output"] = echo.pop("output_path")
+    sampled = config.samples is not None
+    if not sampled:
+        echo["seed"] = None  # the seed is used only when something is sampled
     return ReportEnvelope(
         command=config.command,
-        config=_config_echo(config, used),
-        provenance=provenance,
+        config=echo,
+        provenance={"exact": True, "sampled": sampled},
         results=results,
         table=table,
     )

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lhv import (
+    COINCIDENCE_PAIRS,
     CorrelationReport,
     Ensemble,
     GhzBoxing,
     PARITY_PATTERNS,
-    bell_check,
     build_ghz_ensemble,
+    coincides,
     parity_product,
     sample_indices,
 )
@@ -41,6 +42,7 @@ from .quantum import (
     joint_outcome_prob,
     maximally_mixed,
     pauli_observable,
+    principal_angle,
     product_expectation,
     sequential_measure_prob,
     singlet_state,
@@ -122,9 +124,12 @@ def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
     against the Born-rule computation on the singlet state."""
     if not (math.isfinite(theta1) and math.isfinite(theta2)):
         raise ValueError("angles must be finite")
-    closed = [float(p) for p in _closed_form_probs(theta1, theta2)]
+    # Both sides see the same reduced angles; on huge raw angles theta2 -
+    # theta1 would lose the smaller one.
+    reduced = (principal_angle(theta1), principal_angle(theta2))
+    closed = [float(p) for p in _closed_form_probs(*reduced)]
     state = singlet_state()
-    pair_axes = _pair_axes(theta1, theta2)
+    pair_axes = _pair_axes(*reduced)
     for label, value in zip(("AB", "BC", "AC"), closed):
         born = joint_outcome_prob(state, pair_axes[label], (1, 1))
         if abs(born - value) > ATOL:
@@ -240,7 +245,13 @@ class McEstimate:
     @classmethod
     def from_hits(cls, hits: int, samples: int, seed: int) -> McEstimate:
         est = hits / samples
-        return cls(est, samples, math.sqrt(est * (1.0 - est) / samples), seed)
+        return cls(est, samples, binomial_std_error(est, samples), seed)
+
+
+def binomial_std_error(estimate: float, samples: int) -> float:
+    """Standard error of a probability estimated as a hit fraction of samples
+    independent draws."""
+    return math.sqrt(estimate * (1.0 - estimate) / samples)
 
 
 def _check_sampling(samples: int, shards: int) -> None:
@@ -337,15 +348,9 @@ def mc_classical_estimate(
 
 
 def _mc_singlet(ens: Ensemble, samples: int, seed: int, shards: int) -> CorrelationReport:
-    pairs = (("dark", "round"), ("round", "swiss"), ("dark", "swiss"))
     indicators = [
-        np.array(
-            [
-                int(b.compartment1.get(p1) == 1 and b.compartment2.get(p2) == 1)
-                for b, _ in ens.entries
-            ]
-        )
-        for p1, p2 in pairs
+        np.array([int(coincides(b, p1, p2)) for b, _ in ens.entries])
+        for p1, p2 in COINCIDENCE_PAIRS
     ]
     hits = [0, 0, 0]
     for shard, size in enumerate(_shard_sizes(samples, shards)):

@@ -204,15 +204,22 @@ def build_ghz_ensemble() -> Ensemble:
     return Ensemble(tuple(entries))
 
 
+# The three coincidences the inequality compares, p_AB, p_BC and p_AC, as
+# (compartment-1 property, compartment-2 property).
+COINCIDENCE_PAIRS = (("dark", "round"), ("round", "swiss"), ("dark", "swiss"))
+
+
+def coincides(boxing, prop1: str, prop2: str) -> bool:
+    """True when compartment 1 of a two-compartment boxing has prop1 and
+    compartment 2 has prop2."""
+    return boxing.compartment1.get(prop1) == 1 and boxing.compartment2.get(prop2) == 1
+
+
 def correlation_prob(ens: Ensemble, prop1: str, prop2: str) -> Fraction:
     """Probability that compartment 1 has prop1 and compartment 2 has prop2."""
     _checked_property(prop1)
     _checked_property(prop2)
-    total = Fraction(0)
-    for boxing, weight in ens.entries:
-        if boxing.compartment1.get(prop1) == 1 and boxing.compartment2.get(prop2) == 1:
-            total += weight
-    return total
+    return sum((w for b, w in ens.entries if coincides(b, prop1, prop2)), Fraction(0))
 
 
 def tilde_correlation_prob(ens: Ensemble, prop1: str, prop2: str) -> Fraction:
@@ -310,10 +317,7 @@ def bell_check(ens: Ensemble) -> CorrelationReport:
     """Exact pairwise coincidence probabilities (dark-round, round-swiss,
     dark-swiss) and whether the first two sum to at least the third."""
     return CorrelationReport.from_probs(
-        correlation_prob(ens, "dark", "round"),
-        correlation_prob(ens, "round", "swiss"),
-        correlation_prob(ens, "dark", "swiss"),
-        "exact",
+        *(correlation_prob(ens, p1, p2) for p1, p2 in COINCIDENCE_PAIRS), "exact"
     )
 
 
@@ -371,14 +375,9 @@ def enumerate_singlet_lhv() -> SingletEnumeration:
     """
     vertices = []
     for t in _all_triples():
-        vertices.append(
-            SingletVertex(
-                triple=t,
-                i_AB=int(t.dark == 1 and t.round == -1),
-                i_BC=int(t.round == 1 and t.swiss == -1),
-                i_AC=int(t.dark == 1 and t.swiss == -1),
-            )
-        )
+        box = SingletBoxing.from_first(t)
+        indicators = (int(coincides(box, p1, p2)) for p1, p2 in COINCIDENCE_PAIRS)
+        vertices.append(SingletVertex(t, *indicators))
     gaps = [v.gap for v in vertices]
     min_gap = min(gaps)
     return SingletEnumeration(

@@ -28,6 +28,18 @@ ATOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 
 
+def principal_angle(angle: float) -> float:
+    """A finite angle moved by whole turns to within [-2*pi, 2*pi].
+
+    One within that range is returned as given.  A larger one becomes the
+    atan2 of its sine and cosine, in (-pi, pi]: libm reduces the argument of
+    sin and cos exactly, while a remainder by the float 2*pi, which is not
+    exactly a turn, drifts further from the true angle the larger it is."""
+    if abs(angle) <= 2.0 * math.pi:
+        return angle
+    return math.atan2(math.sin(angle), math.cos(angle))
+
+
 @dataclass(frozen=True)
 class MeasurementAxis:
     """Spin measurement direction, stored with theta in [0, pi] and phi in [0, 2*pi)."""
@@ -38,8 +50,8 @@ class MeasurementAxis:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("axis angles must be finite")
-        theta = self.theta % (2.0 * math.pi)
-        phi = self.phi
+        theta = principal_angle(self.theta) % (2.0 * math.pi)
+        phi = principal_angle(self.phi)
         if theta > math.pi:
             # same direction, reflected into the canonical range
             theta = 2.0 * math.pi - theta

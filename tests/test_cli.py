@@ -1,15 +1,20 @@
 """Command-line surface: argument handling, report payloads, schema
 conformance of the JSON output, CSV/text rendering, file output, exit codes."""
 
+import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -37,6 +42,77 @@ VARIANTS = [
     ["state-report"],
     ["state-report", "--theta1", "37.5"],
 ]
+
+
+# without --samples nothing is drawn, so the seed is echoed as null
+UNUSED_SEED = ["singlet-bell", "--seed", "5"]
+
+EXACT = {"exact": True, "sampled": False}
+SAMPLED = {"exact": True, "sampled": True}
+# the config echo and provenance of each report above, as written before the
+# echo was derived from the options each subparser declares
+ENVELOPES = {
+    ("singlet-bell",): (
+        {"theta1_deg": 60.0, "theta2_deg": 120.0, "samples": None, "seed": None,
+         "grid_step_deg": None, "target": None, "format": "json", "output": None},
+        EXACT,
+    ),
+    ("singlet-bell", "--samples", "2000", "--seed", "3"): (
+        {"theta1_deg": 60.0, "theta2_deg": 120.0, "samples": 2000, "seed": 3,
+         "grid_step_deg": None, "target": None, "format": "json", "output": None},
+        SAMPLED,
+    ),
+    ("singlet-bell", "--seed", "5"): (
+        {"theta1_deg": 60.0, "theta2_deg": 120.0, "samples": None, "seed": None,
+         "grid_step_deg": None, "target": None, "format": "json", "output": None},
+        EXACT,
+    ),
+    ("bell-sweep", "--grid-step", "15"): (
+        {"theta1_deg": None, "theta2_deg": None, "samples": None, "seed": None,
+         "grid_step_deg": 15.0, "target": None, "format": "json", "output": None},
+        EXACT,
+    ),
+    ("ghz-parity",): (
+        {"theta1_deg": None, "theta2_deg": None, "samples": None, "seed": None,
+         "grid_step_deg": None, "target": None, "format": "json", "output": None},
+        EXACT,
+    ),
+    ("order-demo",): (
+        {"theta1_deg": 60.0, "theta2_deg": 120.0, "samples": None, "seed": None,
+         "grid_step_deg": None, "target": None, "format": "json", "output": None},
+        EXACT,
+    ),
+    ("lhv-enumerate", "singlet"): (
+        {"theta1_deg": None, "theta2_deg": None, "samples": None, "seed": None,
+         "grid_step_deg": None, "target": "singlet", "format": "json", "output": None},
+        EXACT,
+    ),
+    ("lhv-enumerate", "ghz"): (
+        {"theta1_deg": None, "theta2_deg": None, "samples": None, "seed": None,
+         "grid_step_deg": None, "target": "ghz", "format": "json", "output": None},
+        EXACT,
+    ),
+    ("classical-mc", "singlet", "--samples", "2000"): (
+        {"theta1_deg": None, "theta2_deg": None, "samples": 2000, "seed": 0,
+         "grid_step_deg": None, "target": "singlet", "format": "json", "output": None},
+        SAMPLED,
+    ),
+    ("classical-mc", "ghz", "--samples", "2000"): (
+        {"theta1_deg": None, "theta2_deg": None, "samples": 2000, "seed": 0,
+         "grid_step_deg": None, "target": "ghz", "format": "json", "output": None},
+        SAMPLED,
+    ),
+    ("state-report",): (
+        {"theta1_deg": 90.0, "theta2_deg": None, "samples": None, "seed": None,
+         "grid_step_deg": None, "target": None, "format": "json", "output": None},
+        EXACT,
+    ),
+    ("state-report", "--theta1", "37.5"): (
+        {"theta1_deg": 37.5, "theta2_deg": None, "samples": None, "seed": None,
+         "grid_step_deg": None, "target": None, "format": "json", "output": None},
+        EXACT,
+    ),
+}
 
 
 def run_json(argv):
@@ -151,6 +227,14 @@ class TestPayloads:
         assert config["grid_step_deg"] is None
         assert config["target"] is None
         assert config["format"] == "json"
+
+    @pytest.mark.parametrize("argv", VARIANTS + [UNUSED_SEED], ids=" ".join)
+    def test_config_echo_and_provenance(self, argv):
+        config, provenance = ENVELOPES[tuple(argv)]
+        doc = run_json(argv)
+        # key order too: it is part of the report's bytes
+        assert list(doc["config"].items()) == list(config.items())
+        assert doc["provenance"] == provenance
 
     def test_lhv_enumerate_singlet(self):
         env = run(parse_args(["lhv-enumerate", "singlet"]))
@@ -454,3 +538,82 @@ class TestOutputAndExitCodes:
         assert main(["lhv-enumerate", "ghz", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"]["survivor_count"] == 8
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+SUBPARSERS = _subparsers()
+# option values argparse or parse_args must either take or reject cleanly
+AWKWARD_NUMBERS = st.sampled_from([
+    "0", "-0", "-1", "-1e5", "2.5E1", "1e300", "-3e299", "1e400", "1e-300", "5e-324",
+    "inf", "-inf", "nan", "0x10", "1_000", "", "abc",
+])
+
+
+def _option_values(action: argparse.Action):
+    """Values to draw for one option.  Grid steps finer than 10 degrees and
+    sample counts above 50 are drawn only where parse_args rejects them, so
+    every report stays small."""
+    if action.choices:
+        return st.sampled_from([*sorted(action.choices), "other"])
+    if action.dest == "grid_step_deg":
+        steps = st.floats(min_value=10.0) | st.floats(max_value=0.05)
+        return steps.map(repr) | AWKWARD_NUMBERS
+    if action.dest == "samples":
+        counts = st.integers(-3, 50) | st.integers(min_value=experiments.MAX_SAMPLES + 1)
+        return counts.map(str) | AWKWARD_NUMBERS
+    if action.type is int:
+        return st.integers(-3, 10**30).map(str) | AWKWARD_NUMBERS
+    if action.type is float:
+        return st.floats().map(repr) | AWKWARD_NUMBERS
+    # --output, relative to the output directory the test sets
+    return st.sampled_from(["report.out", "", ".", "missing/report.out"])
+
+
+@st.composite
+def cli_argv(draw):
+    """argv built from the parser's own commands, options and choices: each
+    option or positional present or not, option names sometimes cut to a
+    prefix, values sometimes joined with '='."""
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    words = []
+    for action in SUBPARSERS[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            if draw(st.integers(0, 30)) == 0:
+                words.append([action.option_strings[-1]])
+        elif not action.option_strings:
+            if draw(st.integers(0, 9)):
+                words.append([draw(_option_values(action))])
+        elif draw(st.booleans()):
+            name = draw(st.sampled_from(action.option_strings))
+            if draw(st.integers(0, 4)) == 0:
+                name = name[:draw(st.integers(3, len(name)))]
+            value = draw(_option_values(action))
+            words.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+    return [command, *(word for group in draw(st.permutations(words)) for word in group)]
+
+
+def _run_main(argv, workdir: Path):
+    """Exit code, stdout, stderr and the --output file of one main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    report = workdir / "report.out"
+    written = report.read_bytes() if report.is_file() else None
+    report.unlink(missing_ok=True)
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_fuzzed_argv_gives_a_report_or_a_usage_error(argv):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: tmp}):
+        first = _run_main(argv, Path(tmp))
+        assert first[0] in (0, 1), first
+        assert "Traceback" not in first[2]
+        assert _run_main(argv, Path(tmp)) == first

@@ -34,6 +34,7 @@ from bellbox.lhv import (
     build_ghz_ensemble,
     build_singlet_ensemble,
 )
+from bellbox.quantum import ATOL, MeasurementAxis, joint_outcome_prob, singlet_state
 from fractions import Fraction
 
 from oracles import closed_form_sequential
@@ -90,6 +91,24 @@ class TestBellPoint:
     def test_nonfinite_angle_rejected(self):
         with pytest.raises(ValueError):
             quantum_bell_point(math.nan, 0.0)
+
+    def test_large_angle_is_not_a_physics_failure(self):
+        # the float 2 pi is not a whole turn: a remainder by it moved the
+        # axis of 1e6 rad away from the closed form's angle
+        point = quantum_bell_point(1e6, 2.0)
+        assert point.p_q_AB == pytest.approx(0.5 * math.sin(5e5) ** 2, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_closed_form_matches_born_at_any_finite_angles(self, theta1, theta2):
+        point = quantum_bell_point(theta1, theta2)
+        state = singlet_state()
+        n1, n2, n3 = (MeasurementAxis(t) for t in (0.0, theta1, theta2))
+        for p, axes in ((point.p_q_AB, (n1, n2)), (point.p_q_BC, (n2, n3)),
+                        (point.p_q_AC, (n1, n3))):
+            assert 0.0 <= p <= 0.5
+            assert abs(joint_outcome_prob(state, axes, (1, 1)) - p) <= ATOL
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellbox.quantum import (
     ATOL,
@@ -80,6 +81,20 @@ class TestMeasurementAxis:
             axis = MeasurementAxis(rng.uniform(-20, 20), rng.uniform(-20, 20))
             assert 0 <= axis.theta <= math.pi
             assert 0 <= axis.phi < 2 * math.pi
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_angles_keep_their_direction(self, theta, phi):
+        # libm's sin and cos reduce any finite argument exactly
+        raw = (
+            math.sin(theta) * math.cos(phi),
+            math.sin(theta) * math.sin(phi),
+            math.cos(theta),
+        )
+        axis = MeasurementAxis(theta, phi)
+        assert axis.unit_vector() == pytest.approx(raw, abs=1e-12)
+        assert 0 <= axis.theta <= math.pi
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
