@@ -30,6 +30,7 @@ from .lhv import (
     Ensemble,
     GhzBoxing,
     PARITY_PATTERNS,
+    _draw,
     build_ghz_ensemble,
     coincides,
     parity_product,
@@ -88,12 +89,7 @@ class BellPoint:
     violated: bool
 
     def __post_init__(self):
-        for name in ("p_q_AB", "p_q_BC", "p_q_AC"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 0.5 + ATOL:
-                raise ValueError(f"{name} out of [0, 1/2]: {p}")
-        if self.violated != (self.bell_gap < 0.0):
-            raise ValueError("violated flag inconsistent with bell_gap sign")
+        _check_bell_fields(self)
 
     @classmethod
     def from_probs(cls, theta1, theta2, p_ab, p_bc, p_ac) -> BellPoint:
@@ -109,13 +105,17 @@ BELL_POINT_DTYPE = np.dtype(
 )
 
 
-def _check_bell_columns(points: np.ndarray) -> None:
-    """BellPoint's checks, run once on whole columns of points."""
+def _check_bell_fields(points) -> None:
+    """The probabilities lie in [0, 1/2] and violated is the sign of bell_gap.
+
+    Fields are read by attribute, so this checks one BellPoint or, column by
+    column, a whole record array of BELL_POINT_DTYPE.
+    """
     for name in ("p_q_AB", "p_q_BC", "p_q_AC"):
-        p = points[name]
+        p = getattr(points, name)
         if not np.all((0.0 <= p) & (p <= 0.5 + ATOL)):
-            raise ValueError(f"{name} out of [0, 1/2]: {p.min()} to {p.max()}")
-    if not np.array_equal(points["violated"], points["bell_gap"] < 0.0):
+            raise ValueError(f"{name} out of [0, 1/2]: {np.min(p)} to {np.max(p)}")
+    if np.any(points.violated != (points.bell_gap < 0.0)):
         raise ValueError("violated flag inconsistent with bell_gap sign")
 
 
@@ -162,8 +162,8 @@ class BellSweep:
 # [0, 180] squared (1801 x 1801 = 3,243,601 points) fits, 0.05 degree does not.
 MAX_SWEEP_POINTS = 4_000_000
 _TOO_FINE = f"grid step too fine: more than {MAX_SWEEP_POINTS:,} points"
-# Most draws one Monte Carlo call makes.  Draws are held as arrays of about
-# 24 bytes each: a report at the cap peaks at 190 to 265 MB.
+# Most draws one Monte Carlo call makes.  A shard's draws are held as arrays
+# of about 16 bytes each: a report at the cap peaks at about 190 MB.
 MAX_SAMPLES = 10**7
 
 
@@ -220,7 +220,7 @@ def quantum_bell_sweep(
         [a.reshape(-1) for a in (g1, g2, p_ab, p_bc, p_ac, gap, gap < 0.0)],
         dtype=BELL_POINT_DTYPE,
     )
-    _check_bell_columns(points)
+    _check_bell_fields(points)
     # the checks above hold only while the records stay as computed
     points.flags.writeable = False
     minimum = BellPoint(*points[int(np.argmin(points.bell_gap))].tolist())
@@ -263,23 +263,13 @@ def _check_sampling(samples: int, shards: int) -> None:
         raise ValueError("shards must be at least 1")
 
 
-def _shard_sizes(samples: int, shards: int) -> list[int]:
+def _shard_streams(samples: int, seed: int, shards: int):
+    """(generator, draws) for each shard that draws at all.  Shard i draws
+    samples // shards, one more if i < samples % shards, from the stream
+    seeded with [seed, i]; only the last shards can draw nothing."""
     base, extra = divmod(samples, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
-
-
-def _categorical_hits(
-    rng: np.random.Generator, probs: list[float], count: int, want: int
-) -> int:
-    """Draws from a finite distribution; returns how often index `want` came up.
-
-    Cumulative boundaries use right-side search so zero-probability outcomes
-    are never drawn, even when a uniform lands exactly on a boundary.
-    """
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    drawn = np.searchsorted(cum, rng.random(count), side="right")
-    return int(np.count_nonzero(drawn == want))
+    for shard in range(min(samples, shards)):
+        yield np.random.default_rng([seed, shard]), base + (shard < extra)
 
 
 def mc_bell_estimate(
@@ -303,15 +293,13 @@ def mc_bell_estimate(
         label: [joint_outcome_prob(state, axes, pat) for pat in outcome_patterns]
         for label, axes in pair_axes.items()
     }
-    hits = {label: 0 for label in pair_axes}
-    for shard, size in enumerate(_shard_sizes(samples, shards)):
-        if size == 0:
-            continue
-        rng = np.random.default_rng([seed, shard])
-        for label in ("AB", "BC", "AC"):
-            hits[label] += _categorical_hits(rng, pair_probs[label], size, want=0)
+    tallies = dict.fromkeys(pair_probs, 0)
+    for rng, size in _shard_streams(samples, seed, shards):
+        for label, probs in pair_probs.items():
+            tallies[label] += np.bincount(_draw(probs, rng, size), minlength=len(probs))
     return {
-        label: McEstimate.from_hits(hits[label], samples, seed) for label in pair_axes
+        label: McEstimate.from_hits(int(counts[0]), samples, seed)
+        for label, counts in tallies.items()
     }
 
 
@@ -320,7 +308,7 @@ class GhzSampleReport:
     """Per-pattern sampled parity products over a three-compartment ensemble.
 
     means follows PARITY_PATTERNS order; constant_on_draws records whether
-    every single draw produced the same product value.
+    every box drawn at least once has the same product value.
     """
 
     means: tuple[float, float, float, float]
@@ -338,55 +326,32 @@ def mc_classical_estimate(
     """Sampled correlation report for a two-compartment ensemble, or a sampled
     parity report for a three-compartment one.
 
-    Boxes are drawn whole, so one draw feeds all tallied quantities at once;
-    the merged result is deterministic given (seed, shards).
+    Boxes are drawn whole and tallied per box; every reported number is read
+    from those tallies.  The result is deterministic given (seed, shards).
     """
     _check_sampling(samples, shards)
+    boxes = [b for b, _ in ens.entries]
+    counts = sum(
+        np.bincount(sample_indices(ens, rng, size), minlength=len(boxes))
+        for rng, size in _shard_streams(samples, seed, shards)
+    ).tolist()
     if ens.boxing_type is GhzBoxing:
-        return _mc_ghz(ens, samples, seed, shards)
-    return _mc_singlet(ens, samples, seed, shards)
-
-
-def _mc_singlet(ens: Ensemble, samples: int, seed: int, shards: int) -> CorrelationReport:
-    indicators = [
-        np.array([int(coincides(b, p1, p2)) for b, _ in ens.entries])
+        products = [[b.pattern_product(p) for b in boxes] for p in PARITY_PATTERNS]
+        return GhzSampleReport(
+            means=tuple(
+                sum(v * c for v, c in zip(row, counts)) / samples for row in products
+            ),
+            constant_on_draws=tuple(
+                len({v for v, c in zip(row, counts) if c}) == 1 for row in products
+            ),
+            samples=samples,
+            seed=seed,
+        )
+    hits = (
+        sum(c for b, c in zip(boxes, counts) if coincides(b, p1, p2))
         for p1, p2 in COINCIDENCE_PAIRS
-    ]
-    hits = [0, 0, 0]
-    for shard, size in enumerate(_shard_sizes(samples, shards)):
-        if size == 0:
-            continue
-        idx = sample_indices(ens, np.random.default_rng([seed, shard]), size)
-        for k, ind in enumerate(indicators):
-            hits[k] += int(ind[idx].sum())
-    return CorrelationReport.from_probs(
-        hits[0] / samples, hits[1] / samples, hits[2] / samples, "sampled"
     )
-
-
-def _mc_ghz(ens: Ensemble, samples: int, seed: int, shards: int) -> GhzSampleReport:
-    products = [
-        np.array([b.pattern_product(pattern) for b, _ in ens.entries])
-        for pattern in PARITY_PATTERNS
-    ]
-    totals = [0] * len(PARITY_PATTERNS)
-    lows = [2] * len(PARITY_PATTERNS)
-    highs = [-2] * len(PARITY_PATTERNS)
-    for shard, size in enumerate(_shard_sizes(samples, shards)):
-        if size == 0:
-            continue
-        idx = sample_indices(ens, np.random.default_rng([seed, shard]), size)
-        for k, prod in enumerate(products):
-            values = prod[idx]
-            totals[k] += int(values.sum())
-            lows[k] = min(lows[k], int(values.min()))
-            highs[k] = max(highs[k], int(values.max()))
-    return GhzSampleReport(
-        means=tuple(t / samples for t in totals),
-        constant_on_draws=tuple(lo == hi for lo, hi in zip(lows, highs)),
-        samples=samples,
-        seed=seed,
-    )
+    return CorrelationReport.from_probs(*(h / samples for h in hits), "sampled")
 
 
 @dataclass(frozen=True)

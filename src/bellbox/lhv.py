@@ -90,6 +90,13 @@ class UnconstrainedBoxing:
     compartment2: AttributeTriple
 
 
+def _obeys_parity_rule(d: tuple[int, int, int], r: tuple[int, int, int]) -> bool:
+    """The three-compartment packing rule on dark signs d and round signs r:
+    every mixed parity product dark_i * round_j * round_k (i, j, k distinct)
+    is +1."""
+    return d[0] * r[1] * r[2] == r[0] * d[1] * r[2] == r[0] * r[1] * d[2] == 1
+
+
 @dataclass(frozen=True)
 class GhzBoxing:
     """Three-compartment box; per-compartment dark and round signs, one shared
@@ -108,10 +115,8 @@ class GhzBoxing:
             for i, s in enumerate(signs):
                 _checked_sign(s, f"{name}[{i}]")
         _checked_sign(self.swiss, "swiss")
-        d, r = self.dark, self.round
-        for prod in (d[0] * r[1] * r[2], r[0] * d[1] * r[2], r[0] * r[1] * d[2]):
-            if prod != 1:
-                raise ValueError("attribute signs violate the parity packing rule")
+        if not _obeys_parity_rule(self.dark, self.round):
+            raise ValueError("attribute signs violate the parity packing rule")
 
     def pattern_product(self, pattern: str) -> int:
         """Product of one attribute sign per compartment, chosen by letter:
@@ -421,11 +426,7 @@ def enumerate_ghz_lhv() -> GhzEnumeration:
     for signs in itertools.product((1, -1), repeat=6):
         total += 1
         d, r = signs[:3], signs[3:]
-        if (
-            d[0] * r[1] * r[2] == 1
-            and r[0] * d[1] * r[2] == 1
-            and r[0] * r[1] * d[2] == 1
-        ):
+        if _obeys_parity_rule(d, r):
             survivors.append(GhzAssignment(d, r))
     designed = {(b.dark, b.round) for b, _ in build_ghz_ensemble().entries}
     survivor_set = {(a.dark, a.round) for a in survivors}
@@ -437,10 +438,16 @@ def enumerate_ghz_lhv() -> GhzEnumeration:
     )
 
 
-def _cumulative_weights(ens: Ensemble) -> np.ndarray:
-    cum = np.cumsum([float(w) for _, w in ens.entries])
-    cum[-1] = 1.0  # absorb float rounding so every draw lands on an entry
-    return cum
+def _draw(probs, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Outcome indices of `count` independent draws from the finite
+    distribution `probs`, one uniform each.
+
+    Cumulative boundaries use right-side search, so an outcome of probability
+    zero is never drawn, even when a uniform lands exactly on a boundary.
+    """
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0  # absorb float rounding so every draw lands on an outcome
+    return np.searchsorted(cum, rng.random(count), side="right")
 
 
 def sample_indices(ens: Ensemble, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -451,8 +458,7 @@ def sample_indices(ens: Ensemble, rng: np.random.Generator, count: int) -> np.nd
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    cum = _cumulative_weights(ens)
-    return np.searchsorted(cum, rng.random(count), side="right")
+    return _draw([float(w) for _, w in ens.entries], rng, count)
 
 
 def sample(ens: Ensemble, rng: np.random.Generator):

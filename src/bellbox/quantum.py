@@ -57,6 +57,8 @@ class MeasurementAxis:
             theta = 2.0 * math.pi - theta
             phi = phi + math.pi
         phi = phi % (2.0 * math.pi)
+        if phi == 2.0 * math.pi:
+            phi = 0.0  # a tiny negative phi rounds up to a whole turn
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 

@@ -4,6 +4,7 @@ seeded Monte Carlo estimators, order dependence, and the parity contradiction.
 Closed-form reference values are recomputed here from scratch with math.sin
 so the module under test cannot vouch for itself."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from bellbox.experiments import (
     MAX_SAMPLES,
     MAX_SWEEP_POINTS,
     BellPoint,
+    GhzSampleReport,
     McEstimate,
     PhysicsAssertionError,
     ghz_contradiction_report,
@@ -274,6 +276,39 @@ class TestMcClassical:
         assert mc_classical_estimate(ens, 10_000, seed=4) == mc_classical_estimate(
             ens, 10_000, seed=4
         )
+
+
+# Hit counts (AB, BC, AC) the estimators gave at seed 12 before they read
+# per-outcome tallies, keyed by (samples, shards); (3, 5) has more shards than
+# samples.  They pin the seeded draw streams: ROADMAP item 2's multinomial
+# sampler changes the draws and will replace these pins.
+PINNED_SEED = 12
+PINNED_HITS = {
+    (1000, 1): {"bell": (143, 104, 390), "singlet": (240, 237, 237), "skewed": (114, 72, 153)},
+    (1000, 4): {"bell": (135, 110, 369), "singlet": (261, 244, 279), "skewed": (89, 68, 131)},
+    (3, 5): {"bell": (0, 1, 3), "singlet": (2, 1, 1), "skewed": (1, 0, 1)},
+}
+
+
+class TestPinnedSeededValues:
+    @pytest.mark.parametrize("samples, shards", list(PINNED_HITS))
+    def test_seeded_values(self, samples, shards):
+        pins = {k: tuple(h / samples for h in v) for k, v in PINNED_HITS[samples, shards].items()}
+        bell = mc_bell_estimate(REF_T1, REF_T2, samples, PINNED_SEED, shards)
+        assert tuple(bell[label].estimate for label in ("AB", "BC", "AC")) == pins["bell"]
+        skewed = Ensemble.from_counts(
+            (SingletBoxing.from_first(AttributeTriple(d, r, s)), count)
+            for (d, r, s), count in zip(
+                itertools.product((1, -1), repeat=3), (5, 1, 0, 3, 9, 1, 2, 7)
+            )
+        )
+        for name, ens in (("singlet", build_singlet_ensemble()), ("skewed", skewed)):
+            report = mc_classical_estimate(ens, samples, PINNED_SEED, shards)
+            assert (report.p_AB, report.p_BC, report.p_AC) == pins[name]
+        # every rule-respecting box has product +1 on each pattern, so any
+        # draws give this report
+        ghz = mc_classical_estimate(build_ghz_ensemble(), samples, PINNED_SEED, shards)
+        assert ghz == GhzSampleReport((1.0,) * 4, (True,) * 4, samples, PINNED_SEED)
 
 
 class TestOrderDependence:

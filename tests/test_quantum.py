@@ -81,6 +81,8 @@ class TestMeasurementAxis:
             axis = MeasurementAxis(rng.uniform(-20, 20), rng.uniform(-20, 20))
             assert 0 <= axis.theta <= math.pi
             assert 0 <= axis.phi < 2 * math.pi
+        # the remainder by 2 pi of a tiny negative phi rounds up to 2 pi
+        assert MeasurementAxis(0.0, -2.45e-250).phi == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False),
@@ -95,6 +97,7 @@ class TestMeasurementAxis:
         axis = MeasurementAxis(theta, phi)
         assert axis.unit_vector() == pytest.approx(raw, abs=1e-12)
         assert 0 <= axis.theta <= math.pi
+        assert 0 <= axis.phi < 2 * math.pi
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
