@@ -398,6 +398,66 @@ def test_sweep_report_bytes_are_pinned(step, fmt):
     assert hashlib.sha256(proc.stdout).hexdigest() == SWEEP_DIGESTS[step, fmt]
 
 
+# sha256 of main(argv.split())'s stdout with COLUMNS=80: each VARIANTS report
+# in every format, then --help at the top level and for every command, as
+# written before the handlers derived their JSON from their table rows and
+# the help texts read their defaults from the parser
+STDOUT_DIGESTS = {
+    "singlet-bell --format json": "90cb6efe9862bc2cb84ba7167696c2c821027f0d3e6cfbfaf7e8be208269a4bb",
+    "singlet-bell --format csv": "20645eab8df192ab41f19aef41aa8ef6ce5699cbd5264c353a1531e794709d53",
+    "singlet-bell --format text": "8f6fb6c952ba16bec7810b6d79954d4eebc97b27959d053f3ed109ab4ca4b30e",
+    "singlet-bell --samples 2000 --seed 3 --format json": "7299eeef8a7cb204701029c9ba23377468aa5f71a9f7edf7d08a0ad4aad8562a",
+    "singlet-bell --samples 2000 --seed 3 --format csv": "20645eab8df192ab41f19aef41aa8ef6ce5699cbd5264c353a1531e794709d53",
+    "singlet-bell --samples 2000 --seed 3 --format text": "5d612c26a8f3d2f6b6015fe983d606ad9fd8c56c94671b59deb9bf486f0b3791",
+    "bell-sweep --grid-step 15 --format json": "da4c4194cad6f100e78f6cc37f2bf8f177179ccb2ae257d63c21e68a1c272a19",
+    "bell-sweep --grid-step 15 --format csv": "455470dd35f6b69338d0515e3692c3726eeb94943dfb7d6e54772ad8234ba951",
+    "bell-sweep --grid-step 15 --format text": "d27d7eac13da869ad92d01acfc0ed3d62029efc6944a638befd2fdc7c547c694",
+    "ghz-parity --format json": "b2e40e66ab77cd637bac3a6b12c42bd21501f51c6f1629b512071e963c73a4b1",
+    "ghz-parity --format csv": "6ed2fd44b58afef4be72683436a3e854c161197b742f9189cba6ca66a42dfeb7",
+    "ghz-parity --format text": "314dd605ad666a5cb33bcae48c9a6238a77fbb8fb5241bb66eed91f0deaddb46",
+    "order-demo --format json": "da9262bed5775ff29143a42831f2d4bfa9c58d6551381368dc60b9082b4cb39a",
+    "order-demo --format csv": "911dcd842ba827ed00174fb0417df0c634fee12d80985673112eb3d16ae698dc",
+    "order-demo --format text": "b01b3524d6d1396d4039a58472344689fb43cd9c59e481bb159b8275d606512e",
+    "lhv-enumerate singlet --format json": "14a481944362a97e498552a44783b69f918c39e819f964366e5df69fa823e83b",
+    "lhv-enumerate singlet --format csv": "bb7133fad1ba451435ec017d3f0efe78e226c2f800c4b0eee56ad1b72b8e6acc",
+    "lhv-enumerate singlet --format text": "899894f091ed6c6b0c9a11cbfa609c891a33565db1933a9fa5f76c40d5873d34",
+    "lhv-enumerate ghz --format json": "9298deb3362e8fdc8a882ce4d927d6b90e08d06ab831d32a3c5ade7bdc1bfcb0",
+    "lhv-enumerate ghz --format csv": "4243462bc44f8a2bde2b9e861400cf03027cb0ce099a80d29835904fb4258bec",
+    "lhv-enumerate ghz --format text": "ffcc71c8b4bba1c1b426a2c9c965ceb4148882ac80a8c5dbf8b1c8a67b17f679",
+    "classical-mc singlet --samples 2000 --format json": "608d9855b539a88c374982229c26b378ab5c6afbdb92d52ee6ea91c41bdffb87",
+    "classical-mc singlet --samples 2000 --format csv": "0acff84325526448a11d75a8d3cdd3101d22dafcc36b12545a16991b6245c228",
+    "classical-mc singlet --samples 2000 --format text": "00be30434641b8d4f13c09d602fb5c0c20b7d9eab7f00d78f16484c78b9cc686",
+    "classical-mc ghz --samples 2000 --format json": "10772959be4ea51093d6b44385fba3c53c6cf3a6f4353af6a7ad22f5c69ec201",
+    "classical-mc ghz --samples 2000 --format csv": "2574e12dd9c41e4427ac799ddc8c3724e3469f1d02dbeb8545505be1bb7af62f",
+    "classical-mc ghz --samples 2000 --format text": "59d9f900efc434e646c6337c509b8b8940392cfa0306105a069492543a131d8e",
+    "state-report --format json": "4e3b416eb78583e81aed60b9eebc44f2d882695859d37d5e63d89984fe04d412",
+    "state-report --format csv": "8a3cd2fcfaa4fcec9698150958e95cce6ee51a55349599317b1befd5b9d74d46",
+    "state-report --format text": "cc6e2366324011473f7daff0c51ce21e9c7d990eef19868a80e2a74ddeb40d63",
+    "state-report --theta1 37.5 --format json": "83408bdb15e3169551fa9401615af32083802c0643b07a295e1c4e6d2fcf9865",
+    "state-report --theta1 37.5 --format csv": "a9adb6e64149b216e276af8b6a2c5447339150168e19b775f4397d5f4ddb73c6",
+    "state-report --theta1 37.5 --format text": "36cefa33c3520ec2f68d528065f49c559c614ae8d0ed970a0be8c55b875ff2f5",
+    "--help": "a8ab3efb89b4b7364896c264feef0e73acefec369b7044fbaa94d54ea9cdafb4",
+    "singlet-bell --help": "fbfbdbf8fa45ea573ddc6f357d90b17b659dfdb3afa0e427c46bb6adcaa22857",
+    "bell-sweep --help": "8db5be6356456cdbe2ee7333f4b9f711aa4f71971e717b569af1f65a8d3fe8fd",
+    "ghz-parity --help": "fbbbcf253884223910c4184295189950faaef957dba364fbb0ae60adcdef44aa",
+    "order-demo --help": "4a344d55db020a7ccb86ff4e40dba1a8bee1af6a0c4ad233e70fa9775a0bedb8",
+    "lhv-enumerate --help": "d2cecdf0f87a0cfecc390bc4a3991ad84bb6738f09df065b78ccd2e11fbec478",
+    "classical-mc --help": "fa6db3d0ad0bf17065545c77d0cbed336dd223420cb8ce236927d69077911761",
+    "state-report --help": "0625501566a022a2989e7573c2a999acc09d348032f74aac284832ef7ea3b4ae",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_DIGESTS))
+def test_stdout_bytes_are_pinned(argv, monkeypatch):
+    if argv.endswith("--help") and sys.version_info[:2] != (3, 11):
+        pytest.skip("help layout is argparse's and changes between Python versions")
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv.split()) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == STDOUT_DIGESTS[argv]
+
+
 BLOCK = cli._BLOCK_ROWS
 # cells that csv.writer quotes or that rstrip cuts from the end of a line
 AWKWARD = ("a,b", 'say "hi"', "", "two\nlines", "tab\t", "pad  ", " ", "plain")
