@@ -108,9 +108,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format",
-        choices=("json", "csv", "text"),
+        choices=tuple(_RENDERERS),
         default="text",
-        help="report format (default: text)",
+        help="report format (default: %(default)s)",
     )
     p.add_argument(
         "--output",
@@ -123,9 +123,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_angles(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta1", dest="theta1_deg", type=float, default=60.0, metavar="DEG",
-                   help="first measurement angle in degrees (default: 60)")
+                   help="first measurement angle in degrees (default: %(default)g)")
     p.add_argument("--theta2", dest="theta2_deg", type=float, default=120.0, metavar="DEG",
-                   help="second measurement angle in degrees (default: 120)")
+                   help="second measurement angle in degrees (default: %(default)g)")
 
 
 def _build_parser() -> _Parser:
@@ -142,13 +142,13 @@ def _build_parser() -> _Parser:
     _add_angles(p)
     p.add_argument("--samples", type=int, metavar="N",
                    help="also report Monte Carlo estimates from N joint draws")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default: %(default)s)")
     _add_common(p)
 
     p = sub.add_parser("bell-sweep", help="gap over an inclusive angle grid "
                        "covering [0, 180] degrees on both axes")
     p.add_argument("--grid-step", dest="grid_step_deg", type=float, default=1.0, metavar="DEG",
-                   help="grid spacing in degrees (default: 1)")
+                   help="grid spacing in degrees (default: %(default)g)")
     _add_common(p)
 
     p = sub.add_parser("ghz-parity", help="three-spin parity expectations vs "
@@ -172,14 +172,14 @@ def _build_parser() -> _Parser:
     p.add_argument("target", choices=("singlet", "ghz"),
                    help="which designed ensemble to sample")
     p.add_argument("--samples", type=int, default=100000, metavar="N",
-                   help="number of box draws (default: 100000)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
+                   help="number of box draws (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default: %(default)s)")
     _add_common(p)
 
     p = sub.add_parser("state-report", help="state amplitudes, reduced matrices, "
                        "and mixed-vs-superposition distributions along a probe axis")
     p.add_argument("--theta1", dest="theta1_deg", type=float, default=90.0, metavar="DEG",
-                   help="probe axis polar angle in degrees (default: 90)")
+                   help="probe axis polar angle in degrees (default: %(default)g)")
     _add_common(p)
 
     return parser
@@ -296,16 +296,7 @@ def _cmd_ghz_parity(config: RunConfig):
         "contradiction": report.contradiction,
         "impossible_outcomes": {
             "all_ok": impossible.all_ok,
-            "rows": [
-                {
-                    "setting": r.setting,
-                    "outcomes": list(r.outcomes),
-                    "prob": r.prob,
-                    "expected": r.expected,
-                    "ok": r.ok,
-                }
-                for r in impossible.rows
-            ],
+            "rows": [dict(vars(row)) for row in impossible.rows],
         },
     }
     table = Table.from_rows(
@@ -372,6 +363,11 @@ def _cmd_lhv_enumerate(config: RunConfig):
         cert = lhv.enumerate_singlet_lhv()
         if not (cert.all_satisfied and cert.min_gap == 0):
             raise PhysicsAssertionError("inequality enumeration certificate failed")
+        header = ("dark", "round", "swiss", "p_ab", "p_bc", "p_ac", "bell_gap")
+        rows = [
+            (v.triple.dark, v.triple.round, v.triple.swiss, v.i_AB, v.i_BC, v.i_AC, v.gap)
+            for v in cert.vertices
+        ]
         results = {
             "target": "singlet",
             "vertex_count": len(cert.vertices),
@@ -379,28 +375,9 @@ def _cmd_lhv_enumerate(config: RunConfig):
             "all_satisfied": cert.all_satisfied,
             "tight_vertex_count": len(cert.tight_vertices),
             "uniform": _correlation_fields(cert.uniform_report),
-            "vertices": [
-                {
-                    "dark": v.triple.dark,
-                    "round": v.triple.round,
-                    "swiss": v.triple.swiss,
-                    "p_ab": v.i_AB,
-                    "p_bc": v.i_BC,
-                    "p_ac": v.i_AC,
-                    "bell_gap": v.gap,
-                }
-                for v in cert.vertices
-            ],
+            "vertices": [dict(zip(header, row)) for row in rows],
         }
-        table = Table.from_rows(
-            header=("dark", "round", "swiss", "p_ab", "p_bc", "p_ac", "bell_gap"),
-            rows=[
-                (v.triple.dark, v.triple.round, v.triple.swiss, v.i_AB, v.i_BC,
-                 v.i_AC, v.gap)
-                for v in cert.vertices
-            ],
-            covers=("vertices",),
-        )
+        table = Table.from_rows(header, rows, covers=("vertices",))
     return results, table
 
 
@@ -408,56 +385,40 @@ def _cmd_classical_mc(config: RunConfig):
     if config.target == "ghz":
         ens = lhv.build_ghz_ensemble()
         report = experiments.mc_classical_estimate(ens, config.samples, config.seed)
-        patterns = {}
-        for i, pat in enumerate(lhv.PARITY_PATTERNS):
-            patterns[pat] = {
-                "mean": report.means[i],
-                "constant_on_draws": report.constant_on_draws[i],
-                "exact_constant": lhv.parity_product(ens, pat).constant,
-            }
+        header = ("pattern", "mean", "constant_on_draws")
+        rows = list(zip(lhv.PARITY_PATTERNS, report.means, report.constant_on_draws))
         results = {
             "target": "ghz",
             "samples": config.samples,
             "seed": config.seed,
-            "patterns": patterns,
+            "patterns": {
+                pat: dict(zip(header[1:], rest),
+                          exact_constant=lhv.parity_product(ens, pat).constant)
+                for pat, *rest in rows
+            },
         }
-        table = Table.from_rows(
-            header=("pattern", "mean", "constant_on_draws"),
-            rows=[
-                (pat, patterns[pat]["mean"], patterns[pat]["constant_on_draws"])
-                for pat in lhv.PARITY_PATTERNS
-            ],
-            covers=("patterns",),
-        )
+        covers = ("patterns",)
     else:
         ens = lhv.build_singlet_ensemble()
         sampled = experiments.mc_classical_estimate(ens, config.samples, config.seed)
         exact = lhv.bell_check(ens)
-        quantities = (
-            ("p_ab", sampled.p_AB, exact.p_AB),
-            ("p_bc", sampled.p_BC, exact.p_BC),
-            ("p_ac", sampled.p_AC, exact.p_AC),
-        )
-        estimates = {}
-        rows = []
-        for name, est, oracle in quantities:
-            se = experiments.binomial_std_error(est, config.samples)
-            estimates[name] = {"estimate": est, "std_error": se, "exact": oracle}
-            rows.append((name, est, se, oracle))
+        header = ("quantity", "estimate", "std_error", "exact")
+        rows = [
+            (name, est, experiments.binomial_std_error(est, config.samples), oracle)
+            for name, est, oracle in (("p_ab", sampled.p_AB, exact.p_AB),
+                                      ("p_bc", sampled.p_BC, exact.p_BC),
+                                      ("p_ac", sampled.p_AC, exact.p_AC))
+        ]
         results = {
             "target": "singlet",
             "samples": config.samples,
             "seed": config.seed,
-            "estimates": estimates,
+            "estimates": {name: dict(zip(header[1:], rest)) for name, *rest in rows},
             "bell_lhs": sampled.bell_lhs,
             "satisfied": sampled.satisfied,
         }
-        table = Table.from_rows(
-            header=("quantity", "estimate", "std_error", "exact"),
-            rows=rows,
-            covers=("estimates",),
-        )
-    return results, table
+        covers = ("estimates",)
+    return results, Table.from_rows(header, rows, covers)
 
 
 def _complex_pairs(amplitudes: np.ndarray) -> list:
@@ -659,7 +620,8 @@ def _json_rows(table: Table, indent: str) -> list[str]:
 
 
 def _flatten_leaves(value, prefix: str = ""):
-    """Depth-first (path, leaf) pairs; lists of scalars count as one leaf each."""
+    """Depth-first (path, leaf) pairs: a dict adds ".key" to the path, a list
+    or tuple "[i]"."""
     if isinstance(value, dict):
         for k, v in value.items():
             yield from _flatten_leaves(v, f"{prefix}.{k}" if prefix else str(k))
@@ -727,30 +689,6 @@ def _render_csv(env: ReportEnvelope) -> str:
     return "".join(_csv_rows(env.table))
 
 
-def _is_rows(value) -> bool:
-    """True for values the text format shows as a row count."""
-    return isinstance(value, (list, tuple)) and bool(value) and isinstance(value[0], dict)
-
-
-def _text_scalars(results: dict, covered: tuple[str, ...]) -> list[str]:
-    lines = []
-    for key, value in results.items():
-        if key in covered:
-            continue
-        if _is_rows(value):
-            lines.append(f"{key}: {len(value)} rows")
-            continue
-        if isinstance(value, dict):
-            for path, leaf in _flatten_leaves(value, key):
-                if _is_rows(leaf):
-                    lines.append(f"{path}: {len(leaf)} rows")
-                else:
-                    lines.append(f"{path} = {_cell(leaf)}")
-            continue
-        lines.append(f"{key} = {_cell(value)}")
-    return lines
-
-
 def _render_text(env: ReportEnvelope) -> str:
     lines = [f"{TOOL_NAME} {env.command}"]
     config_bits = " ".join(
@@ -762,7 +700,9 @@ def _render_text(env: ReportEnvelope) -> str:
             _cell(env.provenance["exact"]), _cell(env.provenance["sampled"])
         )
     )
-    scalars = _text_scalars(env.results, env.table.covers)
+    # every results key the table does not present: one line per leaf
+    uncovered = {k: v for k, v in env.results.items() if k not in env.table.covers}
+    scalars = [f"{path} = {_cell(leaf)}" for path, leaf in _flatten_leaves(uncovered)]
     if scalars:
         lines.append("")
         lines.extend(scalars)
@@ -798,14 +738,14 @@ def _text_table(table: Table) -> list[str]:
     return [header_line, *_row_blocks(columns, [""] * len(columns) + ["\n"])]
 
 
+# the --format choices, in the order --help lists them
+_RENDERERS = {"json": _render_json, "csv": _render_csv, "text": _render_text}
+
+
 def render(env: ReportEnvelope, fmt: str) -> str:
-    if fmt == "json":
-        return _render_json(env)
-    if fmt == "csv":
-        return _render_csv(env)
-    if fmt == "text":
-        return _render_text(env)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return _RENDERERS[fmt](env)
 
 
 def resolve_output_path(destination: str) -> Path:
@@ -830,6 +770,9 @@ def emit(env: ReportEnvelope, fmt: str, destination: str | None = None) -> None:
     """Render and write the report; destination None means stdout."""
     text = render(env, fmt)
     if destination is None:
+        # sys.stdout is None when the process started with stdout closed
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         _write(sys.stdout, text)
     else:
         with open(resolve_output_path(destination), "w", encoding="utf-8") as out:
@@ -849,7 +792,8 @@ def main(argv=None) -> int:
     except PhysicsAssertionError as exc:
         print(f"{TOOL_NAME}: physics assertion failed: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    # a path that UTF-8 cannot encode fails when the text format echoes it
+    except (OSError, UnicodeEncodeError) as exc:
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
         return 1
     return 0

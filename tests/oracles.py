@@ -70,6 +70,19 @@ def render_csv(env: cli.ReportEnvelope) -> str:
     return buf.getvalue()
 
 
+def _leaf_lines(path: str, value, lines: list) -> None:
+    """Appends "path = cell" for each leaf under value: a dict adds ".key"
+    to the path, a list or tuple "[i]"."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _leaf_lines(f"{path}.{key}", item, lines)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _leaf_lines(f"{path}[{i}]", item, lines)
+    else:
+        lines.append(f"{path} = {cli._cell(value)}")
+
+
 def render_text(env: cli.ReportEnvelope) -> str:
     lines = [f"{cli.TOOL_NAME} {env.command}"]
     config_bits = " ".join(
@@ -81,7 +94,10 @@ def render_text(env: cli.ReportEnvelope) -> str:
             cli._cell(env.provenance["exact"]), cli._cell(env.provenance["sampled"])
         )
     )
-    scalars = cli._text_scalars(env.results, env.table.covers)
+    scalars = []
+    for key, value in env.results.items():
+        if key not in env.table.covers:
+            _leaf_lines(key, value, scalars)
     if scalars:
         lines.append("")
         lines.extend(scalars)

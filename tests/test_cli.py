@@ -528,7 +528,10 @@ def test_csv_tables_match_oracle(table):
 @settings(max_examples=300, deadline=None)
 @given(tables())
 def test_text_tables_match_oracle(table):
-    env = _envelope({"n": 1}, table)
+    # uncovered results print a line per leaf, nested dicts and lists too
+    results = {"n": 1, "shown": {"a": [0.5, True], "b": {}, "c": [{"d": "x"}]},
+               "covered": {"e": 2}, "empty": []}
+    env = _envelope(results, dataclasses.replace(table, covers=("covered",)))
     assert render(env, "text") == RENDERERS["text"](env)
 
 
@@ -586,6 +589,22 @@ class TestOutputAndExitCodes:
         assert main(["order-demo", "--output", str(target)]) == 1
         assert "bellbox:" in capsys.readouterr().err
 
+    def test_closed_stdout_exits_one(self):
+        # a shell's >&- starts the process with stdout closed: sys.stdout is None
+        env = dict(os.environ, PYTHONPATH=str(Path(bellbox.__file__).parents[1]))
+        proc = subprocess.run(["sh", "-c", '"$0" -m bellbox singlet-bell >&-', sys.executable],
+                              stderr=subprocess.PIPE, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == ["bellbox: standard output is closed"]
+
+    def test_unencodable_output_path_exits_one(self, tmp_path, capsys):
+        # Python reads the argv byte 0xff as "\udcff", which the text
+        # format's config line cannot encode as UTF-8
+        target = tmp_path / "\udcff.txt"
+        assert main(["order-demo", "--format", "text", "--output", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("bellbox: ")
+
     def test_physics_assertion_exits_two(self, monkeypatch, capsys):
         def broken():
             raise PhysicsAssertionError("forced failure")
@@ -607,6 +626,15 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
 
 
 SUBPARSERS = _subparsers()
+
+
+def test_float_options_are_the_parsers_float_options():
+    # _join_negative_floats reads a negative value after exactly these
+    declared = {option for parser in SUBPARSERS.values() for action in parser._actions
+                if action.type is float for option in action.option_strings}
+    assert sorted(cli._FLOAT_OPTIONS) == sorted(declared)
+
+
 # option values argparse or parse_args must either take or reject cleanly
 AWKWARD_NUMBERS = st.sampled_from([
     "0", "-0", "-1", "-1e5", "2.5E1", "1e300", "-3e299", "1e400", "1e-300", "5e-324",
