@@ -700,7 +700,6 @@ def _render_text(env: ReportEnvelope) -> str:
             _cell(env.provenance["exact"]), _cell(env.provenance["sampled"])
         )
     )
-    # every results key the table does not present: one line per leaf
     uncovered = {k: v for k, v in env.results.items() if k not in env.table.covers}
     scalars = [f"{path} = {_cell(leaf)}" for path, leaf in _flatten_leaves(uncovered)]
     if scalars:
