@@ -13,9 +13,11 @@ variable when it is set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -543,18 +545,20 @@ def _is_column(column, dtype) -> bool:
 def _distinct_cells(column) -> tuple[list[str], np.ndarray]:
     """The cell texts of one Table column, as _cell writes them: the text of
     each distinct value present, and the index of each row's value in that
-    list.
+    list, as int32: a sweep has at most MAX_SWEEP_POINTS rows.
 
     Sweep columns repeat a few hundred values each, so each is formatted
     once.  Floats are told apart by their bits, so -0.0 and 0.0 stay
     distinct."""
     if _is_column(column, np.float64):
         bits, index = np.unique(column.view(np.int64), return_inverse=True)
-        return list(map("{:.12g}".format, bits.view(np.float64).tolist())), index.reshape(-1)
-    if _is_column(column, np.bool_):
+        texts = list(map("{:.12g}".format, bits.view(np.float64).tolist()))
+    elif _is_column(column, np.bool_):
         values, index = np.unique(column, return_inverse=True)
-        return [_cell(v) for v in values.tolist()], index.reshape(-1)
-    return [_cell(v) for v in column], np.arange(len(column))
+        texts = [_cell(v) for v in values.tolist()]
+    else:
+        texts, index = [_cell(v) for v in column], np.arange(len(column))
+    return texts, index.reshape(-1).astype(np.int32)
 
 
 def _texts(strings) -> np.ndarray:
@@ -580,8 +584,9 @@ def _json_cells(column) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_ROWS = 8192
 
 
-def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray]], seps) -> list[str]:
-    """The rows of a table as text, one string per block of _BLOCK_ROWS rows.
+def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray]], seps):
+    """The rows of a table as text, yielded as one string per block of
+    _BLOCK_ROWS rows.
 
     columns holds one (texts, index) pair per column: an object array of
     str and the index into it of each row's cell, all indexes of one length.
@@ -591,32 +596,30 @@ def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray]], seps) -> list[str]
     count = len(columns[0][1])
     block = np.empty((min(count, _BLOCK_ROWS), 2 * len(columns) + 1), dtype=object)
     block[:, 0::2] = seps
-    blocks = []
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(count, start + _BLOCK_ROWS)
         rows = block[: stop - start]
         for j, (texts, index) in enumerate(columns):
             rows[:, 2 * j + 1] = texts[index[start:stop]]
-        blocks.append("".join(rows.ravel().tolist()))
-    return blocks
+        yield "".join(rows.ravel().tolist())
 
 
-def _json_rows(table: Table, indent: str) -> list[str]:
+def _json_rows(table: Table, indent: str):
     """The table as json.dumps(indent=2) writes a list of objects whose
-    opening line is indented by indent."""
+    opening line is indented by indent, in chunks."""
     if not len(table):
-        return ["[]"]
+        yield "[]"
+        return
     inner = indent + "  "
     keys = [json.dumps(key) + ": " for key in table.header]
     seps = [inner + "{\n" + inner + "  " + keys[0]]
     seps += [",\n" + inner + "  " + key for key in keys[1:]]
     columns = [_json_cells(column) for column in table.columns]
     # every row but the last is followed by a comma
-    return [
-        "[\n",
-        *_row_blocks([(t, i[:-1]) for t, i in columns], seps + ["\n" + inner + "},\n"]),
-        *_row_blocks([(t, i[-1:]) for t, i in columns], seps + ["\n" + inner + "}\n" + indent + "]"]),
-    ]
+    yield "[\n"
+    yield from _row_blocks([(t, i[:-1]) for t, i in columns], seps + ["\n" + inner + "},\n"])
+    yield from _row_blocks([(t, i[-1:]) for t, i in columns],
+                           seps + ["\n" + inner + "}\n" + indent + "]"])
 
 
 def _flatten_leaves(value, prefix: str = ""):
@@ -643,19 +646,19 @@ def _envelope_doc(env: ReportEnvelope, tables: list) -> dict:
     }
 
 
-def _render_json(env: ReportEnvelope) -> str:
+def _render_json(env: ReportEnvelope):
     tables = []
     text = json.dumps(_envelope_doc(env, tables), indent=2) + "\n"
-    pieces, start = [], 0
+    start = 0
     for index, table in enumerate(tables):
         token = json.dumps(_placeholder(index))
         at = text.index(token, start)
         line = text[text.rindex("\n", 0, at) + 1:at]
         indent = line[: len(line) - len(line.lstrip(" "))]
-        pieces += [text[start:at], *_json_rows(table, indent)]
+        yield text[start:at]
+        yield from _json_rows(table, indent)
         start = at + len(token)
-    pieces.append(text[start:])
-    return "".join(pieces)
+    yield text[start:]
 
 
 def _csv_field(text: str, alone: bool) -> str:
@@ -672,24 +675,19 @@ def _csv_field(text: str, alone: bool) -> str:
     return '""' if alone and not text else text
 
 
-def _csv_rows(table: Table) -> list[str]:
+def _render_csv(env: ReportEnvelope):
     """The CSV text of the table: the header line, then the rows in blocks."""
+    table = env.table
     alone = len(table.header) == 1
     columns = []
     for column in table.columns:
         texts, index = _distinct_cells(column)
         columns.append((_texts(_csv_field(t, alone) for t in texts), index))
-    header = ",".join(_csv_field(str(h), alone) for h in table.header) + "\n"
-    seps = ["", *[","] * (len(columns) - 1), "\n"]
-    return [header, *_row_blocks(columns, seps)]
+    yield ",".join(_csv_field(str(h), alone) for h in table.header) + "\n"
+    yield from _row_blocks(columns, ["", *[","] * (len(columns) - 1), "\n"])
 
 
-def _render_csv(env: ReportEnvelope) -> str:
-    # the row indexes are dropped before the blocks are joined
-    return "".join(_csv_rows(env.table))
-
-
-def _render_text(env: ReportEnvelope) -> str:
+def _render_text(env: ReportEnvelope):
     lines = [f"{TOOL_NAME} {env.command}"]
     config_bits = " ".join(
         f"{k}={_cell(v)}" for k, v in env.config.items() if v is not None
@@ -706,13 +704,14 @@ def _render_text(env: ReportEnvelope) -> str:
         lines.append("")
         lines.extend(scalars)
     lines.append("")
-    return "".join(["\n".join(lines) + "\n", *_text_table(env.table)])
+    yield "\n".join(lines) + "\n"
+    yield from _text_table(env.table)
 
 
-def _text_table(table: Table) -> list[str]:
-    """The table as lines of text: the header, then one line per row.  Each
-    column is padded to its widest cell, columns are two spaces apart, and
-    each line loses its trailing whitespace."""
+def _text_table(table: Table):
+    """The table as lines of text, in chunks: the header, then one line per
+    row.  Each column is padded to its widest cell, columns are two spaces
+    apart, and each line loses its trailing whitespace."""
     header = [str(h) for h in table.header]
     distinct = [_distinct_cells(column) for column in table.columns]
     widths = [max([len(h), *map(len, texts)]) for h, (texts, _) in zip(header, distinct)]
@@ -733,18 +732,24 @@ def _text_table(table: Table) -> list[str]:
             padded += cut
         columns.append((_texts(padded), index))
     columns.reverse()
-    header_line = "  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
-    return [header_line, *_row_blocks(columns, [""] * len(columns) + ["\n"])]
+    yield "  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
+    yield from _row_blocks(columns, [""] * len(columns) + ["\n"])
 
 
 # the --format choices, in the order --help lists them
 _RENDERERS = {"json": _render_json, "csv": _render_csv, "text": _render_text}
 
 
-def render(env: ReportEnvelope, fmt: str) -> str:
+def _chunks(env: ReportEnvelope, fmt: str):
+    """The report as an iterator of strings: the head of the envelope, each
+    block of table rows as it is joined, then the tail."""
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown format {fmt!r}")
     return _RENDERERS[fmt](env)
+
+
+def render(env: ReportEnvelope, fmt: str) -> str:
+    return "".join(_chunks(env, fmt))
 
 
 def resolve_output_path(destination: str) -> Path:
@@ -765,17 +770,52 @@ def _write(stream, text: str) -> None:
         stream.write(text[start:start + _WRITE_CHARS])
 
 
-def emit(env: ReportEnvelope, fmt: str, destination: str | None = None) -> None:
-    """Render and write the report; destination None means stdout."""
-    text = render(env, fmt)
+@contextlib.contextmanager
+def _output(destination: str | None):
+    """The stream a report is written to; destination None means stdout.
+
+    A file gets the whole report or keeps its old bytes: the report goes to
+    a new file beside the target (symlinks resolved), renamed over it once
+    written and removed if writing fails.  A target that exists and is not
+    a regular file (a FIFO, /dev/stdout on a pipe) is written in place."""
     if destination is None:
         # sys.stdout is None when the process started with stdout closed
         if sys.stdout is None:
             raise OSError("standard output is closed")
-        _write(sys.stdout, text)
-    else:
-        with open(resolve_output_path(destination), "w", encoding="utf-8") as out:
-            _write(out, text)
+        yield sys.stdout
+        return
+    path = resolve_output_path(destination)
+    # os.stat follows /dev/stdout to the pipe or terminal it stands for,
+    # where the path realpath gives for it may not exist
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+        return
+    target = os.path.realpath(path)
+    temp = os.path.join(os.path.dirname(target), f".{TOOL_NAME}-{os.urandom(6).hex()}.tmp")
+    try:
+        # mode 0o666 less the umask, as open gives a new file
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = str(path)
+        raise
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            yield out
+        if os.path.exists(target):
+            shutil.copymode(target, temp)  # an old file keeps its mode
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def emit(env: ReportEnvelope, fmt: str, destination: str | None = None) -> None:
+    """Write the report a chunk at a time; destination None means stdout."""
+    chunks = _chunks(env, fmt)
+    with _output(destination) as out:
+        for chunk in chunks:
+            _write(out, chunk)
 
 
 def main(argv=None) -> int:

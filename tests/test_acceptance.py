@@ -6,13 +6,16 @@ budgets are asserted inside each check; a budget miss fails the check."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import bellbox
 from bellbox.experiments import (
     mc_bell_estimate,
     mc_classical_estimate,
@@ -54,12 +57,15 @@ def _report(capsys, num, label, fn):
 
 
 def test_01_cli_reports_the_violating_point(capsys):
+    # the child imports the bellbox this test imported, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(bellbox.__file__).parents[1]))
+
     def check():
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "bellbox", "singlet-bell",
              "--theta1", "60", "--theta2", "120", "--format", "json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stderr

@@ -9,9 +9,11 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -556,6 +558,40 @@ def test_json_tables_in_results_match_oracle(first, second):
     assert render(env, "json") == RENDERERS["json"](env)
 
 
+@pytest.mark.parametrize("fmt", sorted(RENDERERS))
+def test_report_is_written_a_block_at_a_time(fmt, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
+    writes = []
+
+    def write(stream, text):
+        writes.append(text)
+        stream.write(text)
+
+    monkeypatch.setattr(cli, "_write", write)
+    env = run(parse_args(["bell-sweep", "--grid-step", "5"]))
+    cli.emit(env, fmt, str(tmp_path / "report"))
+    whole = render(env, fmt)
+    assert "".join(writes) == whole == (tmp_path / "report").read_text()
+    assert len(writes) > 1
+    # the envelope without rows, and the longest row: a JSON row is an
+    # object of one line per key and two for its braces
+    head = len(render(_sweep_env(0), fmt))
+    row = max(map(len, whole.splitlines(keepends=True)))
+    row *= len(cli.BELL_POINT_KEYS) + 2 if fmt == "json" else 1
+    assert max(map(len, writes)) <= head + cli._BLOCK_ROWS * row < len(whole) / 4
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDERERS))
+@pytest.mark.parametrize("argv", VARIANTS, ids=" ".join)
+def test_output_file_holds_the_stdout_bytes(argv, fmt, tmp_path, capsys):
+    target = tmp_path / "report"
+    env = run(parse_args(argv + ["--format", fmt, "--output", str(target)]))
+    cli.emit(env, fmt)
+    cli.emit(env, fmt, str(target))
+    assert target.read_bytes() == capsys.readouterr().out.encode()
+    assert list(tmp_path.iterdir()) == [target]
+
+
 class TestOutputAndExitCodes:
     def test_report_written_in_slices(self, tmp_path, monkeypatch, capsys):
         argv = ["bell-sweep", "--grid-step", "30", "--format", "csv"]
@@ -604,6 +640,77 @@ class TestOutputAndExitCodes:
         assert main(["order-demo", "--format", "text", "--output", str(target)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("bellbox: ")
+        # neither the report nor its temporary file is left behind
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_midstream_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "sweep.csv"
+        target.write_bytes(b"old bytes")
+        render_csv = cli._RENDERERS["csv"]
+
+        def broken(env):
+            chunks = render_csv(env)
+            yield next(chunks)
+            raise OSError("no space left on device")
+
+        monkeypatch.setitem(cli._RENDERERS, "csv", broken)
+        argv = ["bell-sweep", "--grid-step", "15", "--format", "csv", "--output", str(target)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "bellbox: no space left on device\n"
+        assert target.read_bytes() == b"old bytes"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_symlinked_output_updates_the_link_target(self, tmp_path, capsys):
+        (tmp_path / "real").mkdir()
+        real = tmp_path / "real" / "report.csv"
+        real.write_bytes(b"old bytes")
+        link = tmp_path / "link.csv"
+        link.symlink_to(os.path.join("real", "report.csv"))
+        assert main(["order-demo", "--format", "csv", "--output", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == os.path.join("real", "report.csv")
+        assert real.read_bytes() == render(run(parse_args(["order-demo", "--format", "csv"])),
+                                           "csv").encode()
+        assert sorted(tmp_path.rglob("*")) == [link, tmp_path / "real", real]
+
+    def test_file_mode_is_what_open_gives(self, tmp_path):
+        old_umask = os.umask(0o027)
+        try:
+            (tmp_path / "plain").touch()
+            assert main(["order-demo", "--output", str(tmp_path / "new")]) == 0
+        finally:
+            os.umask(old_umask)
+        mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        assert mode == 0o640
+        assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == mode
+        # open keeps an existing file's mode
+        (tmp_path / "new").chmod(0o600)
+        assert main(["order-demo", "--output", str(tmp_path / "new")]) == 0
+        assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == 0o600
+
+    def test_fifo_output_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        argv = ["bell-sweep", "--grid-step", "15", "--format", "csv"]
+        received = []
+        # daemon: a failed run never opens the FIFO, and the reader must not
+        # keep the test process alive
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(argv + ["--output", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert received == [render(run(parse_args(argv)), "csv").encode()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_dev_stdout_output_reaches_a_pipe(self):
+        # /dev/stdout links to the pipe through /proc, where the path
+        # realpath gives for it does not exist
+        env = dict(os.environ, PYTHONPATH=str(Path(bellbox.__file__).parents[1]))
+        argv = ["order-demo", "--format", "csv"]
+        proc = subprocess.run([sys.executable, "-m", "bellbox", *argv, "--output", "/dev/stdout"],
+                              capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == render(run(parse_args(argv)), "csv").encode()
 
     def test_physics_assertion_exits_two(self, monkeypatch, capsys):
         def broken():
@@ -705,3 +812,5 @@ def test_fuzzed_argv_gives_a_report_or_a_usage_error(argv):
         assert first[0] in (0, 1), first
         assert "Traceback" not in first[2]
         assert _run_main(argv, Path(tmp)) == first
+        # no temporary file is left, whether the run wrote a report or not
+        assert os.listdir(tmp) == []

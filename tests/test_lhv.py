@@ -4,11 +4,13 @@ Every probability here is a Fraction; equality assertions are exact, with no
 floating-point tolerance anywhere except the sampling-frequency test."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellbox.lhv import (
     AttributeTriple,
@@ -37,6 +39,26 @@ from bellbox.lhv import (
 ALL_TRIPLES = [
     AttributeTriple(d, r, s) for d in (1, -1) for r in (1, -1) for s in (1, -1)
 ]
+
+
+SIGNS = st.sampled_from((1, -1))
+TRIPLES = st.builds(AttributeTriple, SIGNS, SIGNS, SIGNS)
+# the 16 boxings the parity rule admits: 8 sign assignments, 2 swiss signs
+GHZ_BOXINGS = [GhzBoxing(a.dark, a.round, swiss)
+               for a in enumerate_ghz_lhv().survivors for swiss in (1, -1)]
+BOXINGS = {
+    "singlet": st.builds(SingletBoxing.from_first, TRIPLES),
+    "unconstrained": st.builds(UnconstrainedBoxing, TRIPLES, TRIPLES),
+    "ghz": st.sampled_from(GHZ_BOXINGS),
+}
+
+
+@st.composite
+def ensembles(draw):
+    """Ensembles of one boxing kind, with any positive rational weights."""
+    boxings = BOXINGS[draw(st.sampled_from(sorted(BOXINGS)))]
+    pairs = draw(st.lists(st.tuples(boxings, st.integers(1, 10**12)), min_size=1, max_size=8))
+    return Ensemble.from_counts(pairs)
 
 
 def random_singlet_ensemble(rng):
@@ -223,12 +245,15 @@ class TestBellCheck:
             ens = Ensemble(((SingletBoxing.from_first(t), Fraction(1)),))
             assert bell_check(ens).satisfied
 
-    def test_random_mixtures_satisfy_exactly(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            report = bell_check(random_singlet_ensemble(rng))
-            assert report.satisfied
-            assert report.bell_lhs >= report.p_AC
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 10**12), min_size=8, max_size=8).filter(any))
+    def test_random_mixtures_satisfy_exactly(self, counts):
+        # integer counts over the 8 boxings give every rational mixture of
+        # them, point masses and mixtures of a few boxings included
+        boxings = [SingletBoxing.from_first(t) for t in ALL_TRIPLES]
+        report = bell_check(Ensemble.from_counts(zip(boxings, counts)))
+        assert report.satisfied
+        assert report.bell_lhs >= report.p_AC
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
@@ -332,6 +357,12 @@ class TestSerialization:
         ]
         for ens in cases:
             assert ensemble_from_dict(ensemble_to_dict(ens)) == ens
+
+    @settings(max_examples=200, deadline=None)
+    @given(ensembles())
+    def test_round_trip_through_json(self, ens):
+        doc = json.loads(json.dumps(ensemble_to_dict(ens)))
+        assert ensemble_from_dict(doc) == ens
 
     def test_weights_serialized_as_integer_pairs(self):
         doc = ensemble_to_dict(build_singlet_ensemble())

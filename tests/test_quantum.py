@@ -4,6 +4,7 @@ Oracles here are built from first principles in the test body (explicit 2x2
 spin matrices, explicit partial-trace loops, Kronecker products) so they fail
 independently of the library's own linear algebra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -248,6 +249,21 @@ class TestJointOutcomeProb:
                     outcomes = tuple(1 if b == 0 else -1 for b in pattern)
                     total += joint_outcome_prob(state, axes, outcomes)
                 assert total == pytest.approx(1.0, abs=ATOL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((singlet_state, ghz_state)),
+           st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False),
+                              st.booleans()), min_size=3, max_size=3))
+    def test_outcomes_sum_to_one_at_any_finite_axes(self, make_state, angles):
+        # each site is measured along (theta, phi), or left unmeasured
+        state = make_state()
+        axes = tuple(MeasurementAxis(theta, phi) if measured else None
+                     for theta, phi, measured in angles[: state.num_sites])
+        signs = [(1, -1) if axis else (None,) for axis in axes]
+        total = sum(joint_outcome_prob(state, axes, outcomes)
+                    for outcomes in itertools.product(*signs))
+        assert total == pytest.approx(1.0, abs=ATOL)
 
     def test_marginal_via_identity_slots(self):
         state = singlet_state()
