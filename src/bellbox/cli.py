@@ -234,6 +234,12 @@ def parse_args(argv=None) -> RunConfig:
     # the seed is used only when something is sampled
     if samples is not None and config.seed < 0:
         parser.error("--seed must not be negative")
+    if config.output_path is not None:
+        # every format echoes the path; argv bytes UTF-8 cannot decode arrive as surrogates
+        try:
+            config.output_path.encode("utf-8")
+        except UnicodeEncodeError:
+            parser.error("--output must be a path UTF-8 can encode")
     if grid_step is not None:
         if not (math.isfinite(grid_step) and grid_step > 0):
             parser.error("--grid-step must be positive")
@@ -245,10 +251,15 @@ def parse_args(argv=None) -> RunConfig:
     return config
 
 
+def _bell_fields(points, theta1_deg, theta2_deg) -> tuple:
+    """BELL_POINT_KEYS values: the angles given, the rest read from a BellPoint or records."""
+    return (theta1_deg, theta2_deg, points.p_q_AB, points.p_q_BC, points.p_q_AC,
+            points.bell_gap, points.violated)
+
+
 def _cmd_singlet_bell(config: RunConfig):
     point = experiments.quantum_bell_point(config.theta1, config.theta2)
-    row = (config.theta1_deg, config.theta2_deg, point.p_q_AB, point.p_q_BC,
-           point.p_q_AC, point.bell_gap, point.violated)
+    row = _bell_fields(point, config.theta1_deg, config.theta2_deg)
     results = dict(zip(BELL_POINT_KEYS, row))
     if config.samples is not None:
         estimates = experiments.mc_bell_estimate(
@@ -271,8 +282,7 @@ def _cmd_bell_sweep(config: RunConfig):
     sweep = experiments.quantum_bell_sweep(math.radians(config.grid_step_deg))
     points = sweep.points
     # np.degrees rounds exactly as math.degrees does
-    columns = (np.degrees(points.theta1), np.degrees(points.theta2), points.p_q_AB,
-               points.p_q_BC, points.p_q_AC, points.bell_gap, points.violated)
+    columns = _bell_fields(points, np.degrees(points.theta1), np.degrees(points.theta2))
     results = {
         "grid_step_deg": config.grid_step_deg,
         "point_count": len(points),
@@ -493,8 +503,8 @@ def run(config: RunConfig) -> ReportEnvelope:
     )
 
 
-def _round12(x: float) -> float:
-    return float(format(x, ".12g"))
+# The text of every float in a report, in every format: 12 significant digits.
+_number_text = "{:.12g}".format
 
 
 def _jsonify(value, tables: list):
@@ -507,7 +517,7 @@ def _jsonify(value, tables: list):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (float, np.floating)):
-        return _round12(float(value))
+        return float(_number_text(float(value)))
     if value is None or isinstance(value, str):
         return value
     if isinstance(value, Table):
@@ -533,7 +543,7 @@ def _cell(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
+        return _number_text(float(value))
     return str(value)
 
 
@@ -552,7 +562,7 @@ def _distinct_cells(column) -> tuple[list[str], np.ndarray]:
     distinct."""
     if _is_column(column, np.float64):
         bits, index = np.unique(column.view(np.int64), return_inverse=True)
-        texts = list(map("{:.12g}".format, bits.view(np.float64).tolist()))
+        texts = list(map(_number_text, bits.view(np.float64).tolist()))
     elif _is_column(column, np.bool_):
         values, index = np.unique(column, return_inverse=True)
         texts = [_cell(v) for v in values.tolist()]
@@ -761,15 +771,6 @@ def resolve_output_path(destination: str) -> Path:
     return path
 
 
-# Characters written at a time, so that encoding never copies a whole report.
-_WRITE_CHARS = 1 << 20
-
-
-def _write(stream, text: str) -> None:
-    for start in range(0, len(text), _WRITE_CHARS):
-        stream.write(text[start:start + _WRITE_CHARS])
-
-
 @contextlib.contextmanager
 def _output(destination: str | None):
     """The stream a report is written to; destination None means stdout.
@@ -814,25 +815,21 @@ def emit(env: ReportEnvelope, fmt: str, destination: str | None = None) -> None:
     """Write the report a chunk at a time; destination None means stdout."""
     chunks = _chunks(env, fmt)
     with _output(destination) as out:
-        for chunk in chunks:
-            _write(out, chunk)
+        out.writelines(chunks)
 
 
 def main(argv=None) -> int:
     try:
         config = parse_args(argv)
     except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return 0 if exc.code is None else 1
+        return exc.code  # argparse exits through ArgumentParser.exit, with an int
     try:
         env = run(config)
         emit(env, config.format, config.output_path)
     except PhysicsAssertionError as exc:
         print(f"{TOOL_NAME}: physics assertion failed: {exc}", file=sys.stderr)
         return 2
-    # a path that UTF-8 cannot encode fails when the text format echoes it
-    except (OSError, UnicodeEncodeError) as exc:
+    except OSError as exc:
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -19,8 +19,9 @@ sharded runs can be reproduced piecewise.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .lhv import (
     CorrelationReport,
     Ensemble,
     GhzBoxing,
+    MIXED_PATTERNS,
     PARITY_PATTERNS,
     _draw,
     build_ghz_ensemble,
@@ -58,11 +60,16 @@ class PhysicsAssertionError(RuntimeError):
     """
 
 
+def _directions(theta1: float, theta2: float) -> tuple[MeasurementAxis, ...]:
+    """The three measurement directions, at polar angles 0, theta1 and theta2."""
+    if not (math.isfinite(theta1) and math.isfinite(theta2)):
+        raise ValueError("angles must be finite")
+    return MeasurementAxis(0.0), MeasurementAxis(theta1), MeasurementAxis(theta2)
+
+
 def _pair_axes(theta1: float, theta2: float) -> dict[str, tuple[MeasurementAxis, MeasurementAxis]]:
     """Site-1/site-2 axis assignments for the three coincidence probabilities."""
-    n1 = MeasurementAxis(0.0)
-    n2 = MeasurementAxis(theta1)
-    n3 = MeasurementAxis(theta2)
+    n1, n2, n3 = _directions(theta1, theta2)
     return {"AB": (n1, n2), "BC": (n2, n3), "AC": (n1, n3)}
 
 
@@ -74,6 +81,12 @@ def _closed_form_probs(theta1, theta2):
         0.5 * np.sin((theta2 - theta1) / 2.0) ** 2,
         0.5 * np.sin(theta2 / 2.0) ** 2,
     )
+
+
+def _gap_and_flag(p_ab, p_bc, p_ac):
+    """bell_gap = p_AB + p_BC - p_AC, and violated = bell_gap < 0, for floats or arrays."""
+    gap = p_ab + p_bc - p_ac
+    return gap, gap < 0.0
 
 
 @dataclass(frozen=True)
@@ -93,20 +106,17 @@ class BellPoint:
 
     @classmethod
     def from_probs(cls, theta1, theta2, p_ab, p_bc, p_ac) -> BellPoint:
-        gap = p_ab + p_bc - p_ac
-        return cls(theta1, theta2, p_ab, p_bc, p_ac, gap, gap < 0.0)
+        return cls(theta1, theta2, p_ab, p_bc, p_ac, *_gap_and_flag(p_ab, p_bc, p_ac))
 
 
 # One record per grid point, fields named as on BellPoint.
 BELL_POINT_DTYPE = np.dtype(
-    [(name, np.float64) for name in
-     ("theta1", "theta2", "p_q_AB", "p_q_BC", "p_q_AC", "bell_gap")]
-    + [("violated", np.bool_)]
+    [(f.name, np.bool_ if f.name == "violated" else np.float64) for f in fields(BellPoint)]
 )
 
 
 def _check_bell_fields(points) -> None:
-    """The probabilities lie in [0, 1/2] and violated is the sign of bell_gap.
+    """The probabilities lie in [0, 1/2]; bell_gap and violated follow from them.
 
     Fields are read by attribute, so this checks one BellPoint or, column by
     column, a whole record array of BELL_POINT_DTYPE.
@@ -115,21 +125,20 @@ def _check_bell_fields(points) -> None:
         p = getattr(points, name)
         if not np.all((0.0 <= p) & (p <= 0.5 + ATOL)):
             raise ValueError(f"{name} out of [0, 1/2]: {np.min(p)} to {np.max(p)}")
-    if np.any(points.violated != (points.bell_gap < 0.0)):
-        raise ValueError("violated flag inconsistent with bell_gap sign")
+    gap, violated = _gap_and_flag(points.p_q_AB, points.p_q_BC, points.p_q_AC)
+    if np.any(points.bell_gap != gap) or np.any(points.violated != violated):
+        raise ValueError("bell_gap or violated inconsistent with the probabilities")
 
 
 def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
     """Closed-form coincidence probabilities at (theta1, theta2), verified
     against the Born-rule computation on the singlet state."""
-    if not (math.isfinite(theta1) and math.isfinite(theta2)):
-        raise ValueError("angles must be finite")
-    # Both sides see the same reduced angles; on huge raw angles theta2 -
-    # theta1 would lose the smaller one.
+    pair_axes = _pair_axes(theta1, theta2)
+    # The closed forms see the angles reduced as each axis reduces its own;
+    # on huge raw angles theta2 - theta1 would lose the smaller one.
     reduced = (principal_angle(theta1), principal_angle(theta2))
     closed = [float(p) for p in _closed_form_probs(*reduced)]
     state = singlet_state()
-    pair_axes = _pair_axes(*reduced)
     for label, value in zip(("AB", "BC", "AC"), closed):
         born = joint_outcome_prob(state, pair_axes[label], (1, 1))
         if abs(born - value) > ATOL:
@@ -214,10 +223,9 @@ def quantum_bell_sweep(
     t1 = _grid(*theta1_range, step)
     t2 = _grid(*theta2_range, step)
     g1, g2 = np.meshgrid(t1, t2, indexing="ij")
-    p_ab, p_bc, p_ac = _closed_form_probs(g1, g2)
-    gap = p_ab + p_bc - p_ac
+    probs = _closed_form_probs(g1, g2)
     points = np.rec.fromarrays(
-        [a.reshape(-1) for a in (g1, g2, p_ab, p_bc, p_ac, gap, gap < 0.0)],
+        [a.reshape(-1) for a in (g1, g2, *probs, *_gap_and_flag(*probs))],
         dtype=BELL_POINT_DTYPE,
     )
     _check_bell_fields(points)
@@ -288,7 +296,7 @@ def mc_bell_estimate(
     _check_sampling(samples, shards)
     state = singlet_state()
     pair_axes = _pair_axes(theta1, theta2)
-    outcome_patterns = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    outcome_patterns = tuple(itertools.product((1, -1), repeat=2))
     pair_probs = {
         label: [joint_outcome_prob(state, axes, pat) for pat in outcome_patterns]
         for label, axes in pair_axes.items()
@@ -372,11 +380,7 @@ def order_dependence_report(theta1: float, theta2: float) -> OrderReport:
 
     The two generally differ; they coincide exactly when theta1 = theta2.
     """
-    if not (math.isfinite(theta1) and math.isfinite(theta2)):
-        raise ValueError("angles must be finite")
-    n1 = MeasurementAxis(0.0)
-    n2 = MeasurementAxis(theta1)
-    n3 = MeasurementAxis(theta2)
+    n1, n2, n3 = _directions(theta1, theta2)
     rho = maximally_mixed()
     p123 = sequential_measure_prob(rho, [(n1, 1), (n2, -1), (n3, -1)])
     p132 = sequential_measure_prob(rho, [(n1, 1), (n3, -1), (n2, -1)])
@@ -439,11 +443,9 @@ def impossible_outcomes_check() -> ImpossibleOutcomesReport:
     patterns probability 1/4 each."""
     state = ghz_state()
     rows = []
-    for setting in ("xyy", "yxy", "yyx"):
+    for setting in MIXED_PATTERNS:
         axes = pauli_observable(setting).factors
-        for signs in (
-            (s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)
-        ):
+        for signs in itertools.product((1, -1), repeat=3):
             prob = joint_outcome_prob(state, axes, signs)
             expected = 0.25 if signs[0] * signs[1] * signs[2] == 1 else 0.0
             rows.append(

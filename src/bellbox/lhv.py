@@ -22,9 +22,11 @@ import numpy as np
 
 PROPERTIES = ("dark", "round", "swiss")
 
-PARITY_PATTERNS = ("xyy", "yxy", "yyx", "xxx")
+# The three mixed patterns the three-compartment packing rule fixes to +1;
+# their product forces the all-dark pattern xxx to +1 as well.
+MIXED_PATTERNS = ("xyy", "yxy", "yyx")
 
-_PATTERN_LETTERS = {"x": "dark", "y": "round"}
+PARITY_PATTERNS = (*MIXED_PATTERNS, "xxx")
 
 
 def _checked_sign(value: int, name: str) -> int:
@@ -90,11 +92,19 @@ class UnconstrainedBoxing:
     compartment2: AttributeTriple
 
 
+def _pattern_product(dark, round_, pattern: str) -> int:
+    """Product of one sign per compartment: dark for pattern letter x, round for y."""
+    out = 1
+    for d, r, letter in zip(dark, round_, pattern):
+        out *= d if letter == "x" else r
+    return out
+
+
 def _obeys_parity_rule(d: tuple[int, int, int], r: tuple[int, int, int]) -> bool:
     """The three-compartment packing rule on dark signs d and round signs r:
     every mixed parity product dark_i * round_j * round_k (i, j, k distinct)
     is +1."""
-    return d[0] * r[1] * r[2] == r[0] * d[1] * r[2] == r[0] * r[1] * d[2] == 1
+    return all(_pattern_product(d, r, pattern) == 1 for pattern in MIXED_PATTERNS)
 
 
 @dataclass(frozen=True)
@@ -121,12 +131,9 @@ class GhzBoxing:
     def pattern_product(self, pattern: str) -> int:
         """Product of one attribute sign per compartment, chosen by letter:
         x = dark, y = round.  E.g. "xyy" multiplies dark(1), round(2), round(3)."""
-        if len(pattern) != 3 or any(ch not in _PATTERN_LETTERS for ch in pattern):
+        if len(pattern) != 3 or any(ch not in "xy" for ch in pattern):
             raise ValueError(f"pattern must be 3 letters from x/y, got {pattern!r}")
-        out = 1
-        for i, ch in enumerate(pattern):
-            out *= getattr(self, _PATTERN_LETTERS[ch])[i]
-        return out
+        return _pattern_product(self.dark, self.round, pattern)
 
 
 @dataclass(frozen=True)
@@ -168,20 +175,12 @@ class Ensemble:
         return type(self.entries[0][0])
 
 
-def _all_triples() -> list[AttributeTriple]:
-    return [
-        AttributeTriple(d, r, s)
-        for d in (1, -1)
-        for r in (1, -1)
-        for s in (1, -1)
-    ]
-
-
 def build_singlet_ensemble() -> Ensemble:
     """Uniform mixture of the eight rule-respecting two-compartment boxings,
     compartment 1 ranging over all attribute triples."""
     w = Fraction(1, 8)
-    return Ensemble(tuple((SingletBoxing.from_first(t), w) for t in _all_triples()))
+    triples = (AttributeTriple(*signs) for signs in itertools.product((1, -1), repeat=3))
+    return Ensemble(tuple((SingletBoxing.from_first(t), w) for t in triples))
 
 
 # The eight designed three-compartment boxings, as (dark signs, round signs)
@@ -379,7 +378,8 @@ def enumerate_singlet_lhv() -> SingletEnumeration:
     gap on all eight vertices settles the general case by linearity.
     """
     vertices = []
-    for t in _all_triples():
+    for signs in itertools.product((1, -1), repeat=3):
+        t = AttributeTriple(*signs)
         box = SingletBoxing.from_first(t)
         indicators = (int(coincides(box, p1, p2)) for p1, p2 in COINCIDENCE_PAIRS)
         vertices.append(SingletVertex(t, *indicators))
@@ -403,7 +403,7 @@ class GhzAssignment:
 
     @property
     def xxx_product(self) -> int:
-        return self.dark[0] * self.dark[1] * self.dark[2]
+        return _pattern_product(self.dark, self.round, "xxx")
 
 
 @dataclass(frozen=True)

@@ -563,12 +563,14 @@ def test_report_is_written_a_block_at_a_time(fmt, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
     writes = []
 
-    def write(stream, text):
-        writes.append(text)
-        stream.write(text)
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
 
-    monkeypatch.setattr(cli, "_write", write)
+    monkeypatch.setattr(sys, "stdout", Recorder())
     env = run(parse_args(["bell-sweep", "--grid-step", "5"]))
+    cli.emit(env, fmt)
     cli.emit(env, fmt, str(tmp_path / "report"))
     whole = render(env, fmt)
     assert "".join(writes) == whole == (tmp_path / "report").read_text()
@@ -593,15 +595,6 @@ def test_output_file_holds_the_stdout_bytes(argv, fmt, tmp_path, capsys):
 
 
 class TestOutputAndExitCodes:
-    def test_report_written_in_slices(self, tmp_path, monkeypatch, capsys):
-        argv = ["bell-sweep", "--grid-step", "30", "--format", "csv"]
-        want = render(run(parse_args(argv)), "csv")
-        monkeypatch.setattr(cli, "_WRITE_CHARS", 7)
-        assert main(argv + ["--output", str(tmp_path / "sweep.csv")]) == 0
-        assert main(argv) == 0
-        assert (tmp_path / "sweep.csv").read_bytes() == want.encode()
-        assert capsys.readouterr().out == want
-
     def test_writes_report_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         assert main(["order-demo", "--format", "json", "--output", str(target)]) == 0
@@ -634,14 +627,16 @@ class TestOutputAndExitCodes:
         assert proc.stderr.decode().splitlines() == ["bellbox: standard output is closed"]
 
     def test_unencodable_output_path_exits_one(self, tmp_path, capsys):
-        # Python reads the argv byte 0xff as "\udcff", which the text
-        # format's config line cannot encode as UTF-8
-        target = tmp_path / "\udcff.txt"
-        assert main(["order-demo", "--format", "text", "--output", str(target)]) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("bellbox: ")
-        # neither the report nor its temporary file is left behind
-        assert list(tmp_path.iterdir()) == []
+        # Python reads the argv byte 0xff as "\udcff", which every format's
+        # echo of the path cannot encode as UTF-8
+        target = tmp_path / "\udcff.out"
+        for fmt in sorted(cli._RENDERERS):
+            assert main(["order-demo", "--format", fmt, "--output", str(target)]) == 1, fmt
+            err = capsys.readouterr().err
+            assert err.startswith("usage: bellbox ")
+            assert err.endswith("bellbox: error: --output must be a path UTF-8 can encode\n")
+            # neither the report nor its temporary file is left behind
+            assert list(tmp_path.iterdir()) == []
 
     def test_failure_midstream_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "sweep.csv"
@@ -749,6 +744,11 @@ AWKWARD_NUMBERS = st.sampled_from([
 ])
 
 
+# the --output files the fuzz test draws: ASCII, non-ASCII, and a name
+# holding the argv byte 0xff, which parse_args rejects
+OUTPUT_NAMES = ("report.out", "\u00e9.out", "\udcff.out")
+
+
 def _option_values(action: argparse.Action):
     """Values to draw for one option.  Grid steps finer than 10 degrees and
     sample counts above 50 are drawn only where parse_args rejects them, so
@@ -766,7 +766,7 @@ def _option_values(action: argparse.Action):
     if action.type is float:
         return st.floats().map(repr) | AWKWARD_NUMBERS
     # --output, relative to the output directory the test sets
-    return st.sampled_from(["report.out", "", ".", "missing/report.out"])
+    return st.sampled_from([*OUTPUT_NAMES, "", ".", "missing/report.out"])
 
 
 @st.composite
@@ -793,13 +793,17 @@ def cli_argv(draw):
 
 
 def _run_main(argv, workdir: Path):
-    """Exit code, stdout, stderr and the --output file of one main(argv)."""
+    """Exit code, stdout, stderr and the --output files of one main(argv),
+    each read and removed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    report = workdir / "report.out"
-    written = report.read_bytes() if report.is_file() else None
-    report.unlink(missing_ok=True)
+    written = {}
+    for name in OUTPUT_NAMES:
+        report = workdir / name
+        if report.is_file():
+            written[name] = report.read_bytes()
+            report.unlink()
     return code, out.getvalue(), err.getvalue(), written
 
 

@@ -322,14 +322,24 @@ class TestSampling:
         rng = np.random.default_rng(0)
         assert all(sample(ens, rng) is box for _ in range(50))
 
-    def test_frequencies_near_uniform(self):
-        ens = build_singlet_ensemble()
+    @pytest.mark.parametrize("build", [build_singlet_ensemble, build_ghz_ensemble],
+                             ids=["singlet", "ghz"])
+    def test_frequencies_near_uniform(self, build):
+        ens = build()
         rng = np.random.default_rng(42)
         n = 100_000
         idx = sample_indices(ens, rng, n)
         counts = np.bincount(idx, minlength=8)
         sigma = math.sqrt(n * (1 / 8) * (7 / 8))
         assert np.all(np.abs(counts - n / 8) < 4 * sigma)
+        if ens.boxing_type is GhzBoxing:
+            # every PARITY_PATTERNS product is +1 on every box, so only a
+            # pattern that varies across boxes shows the draws: yyy is +1 on
+            # half the boxes and -1 on the rest, mean 0 and sigma 1/sqrt(n)
+            yyy = np.array([b.pattern_product("yyy") for b, _ in ens.entries])
+            assert parity_product(ens, "yyy").distribution == ((1, Fraction(1, 2)),
+                                                               (-1, Fraction(1, 2)))
+            assert abs(yyy[idx].mean()) < 4 / math.sqrt(n)
 
     def test_determinism(self):
         ens = build_ghz_ensemble()

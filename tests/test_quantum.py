@@ -391,10 +391,11 @@ class TestInvarianceResidual:
     def test_arbitrary_axis(self):
         assert singlet_invariance_residual(MeasurementAxis(1.234, 5.678)) <= ATOL
 
-    def test_hundred_random_axes(self):
-        rng = np.random.default_rng(71)
-        for _ in range(100):
-            assert singlet_invariance_residual(random_axis(rng)) <= ATOL
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_axis(self, theta, phi):
+        assert singlet_invariance_residual(MeasurementAxis(theta, phi)) <= ATOL
 
 
 class TestMixedVsSuperposition:
