@@ -412,22 +412,20 @@ def _cmd_classical_mc(config: RunConfig):
         covers = ("patterns",)
     else:
         ens = lhv.build_singlet_ensemble()
-        sampled = experiments.mc_classical_estimate(ens, config.samples, config.seed)
-        exact = lhv.bell_check(ens)
+        sampled = _correlation_fields(experiments.mc_classical_estimate(ens, config.samples, config.seed))
+        exact = _correlation_fields(lhv.bell_check(ens))
         header = ("quantity", "estimate", "std_error", "exact")
         rows = [
-            (name, est, experiments.binomial_std_error(est, config.samples), oracle)
-            for name, est, oracle in (("p_ab", sampled.p_AB, exact.p_AB),
-                                      ("p_bc", sampled.p_BC, exact.p_BC),
-                                      ("p_ac", sampled.p_AC, exact.p_AC))
+            (name, est, experiments.binomial_std_error(est, config.samples), exact[name])
+            for name, est in sampled.items() if name.startswith("p_")
         ]
         results = {
             "target": "singlet",
             "samples": config.samples,
             "seed": config.seed,
             "estimates": {name: dict(zip(header[1:], rest)) for name, *rest in rows},
-            "bell_lhs": sampled.bell_lhs,
-            "satisfied": sampled.satisfied,
+            "bell_lhs": sampled["bell_lhs"],
+            "satisfied": sampled["satisfied"],
         }
         covers = ("estimates",)
     return results, Table.from_rows(header, rows, covers)
@@ -536,14 +534,12 @@ def _placeholder(index: int) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+    """A scalar's text: a float's _number_text, else its JSON value as text."""
     if isinstance(value, (float, np.floating)):
         return _number_text(float(value))
+    value = _jsonify(value, [])
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return str(value)
 
 

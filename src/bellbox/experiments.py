@@ -33,6 +33,7 @@ from .lhv import (
     MIXED_PATTERNS,
     PARITY_PATTERNS,
     _draw,
+    _gap_and_flag,
     build_ghz_ensemble,
     coincides,
     parity_product,
@@ -81,12 +82,6 @@ def _closed_form_probs(theta1, theta2):
         0.5 * np.sin((theta2 - theta1) / 2.0) ** 2,
         0.5 * np.sin(theta2 / 2.0) ** 2,
     )
-
-
-def _gap_and_flag(p_ab, p_bc, p_ac):
-    """bell_gap = p_AB + p_BC - p_AC, and violated = bell_gap < 0, for floats or arrays."""
-    gap = p_ab + p_bc - p_ac
-    return gap, gap < 0.0
 
 
 @dataclass(frozen=True)
@@ -139,8 +134,8 @@ def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
     reduced = (principal_angle(theta1), principal_angle(theta2))
     closed = [float(p) for p in _closed_form_probs(*reduced)]
     state = singlet_state()
-    for label, value in zip(("AB", "BC", "AC"), closed):
-        born = joint_outcome_prob(state, pair_axes[label], (1, 1))
+    for (label, axes), value in zip(pair_axes.items(), closed):
+        born = joint_outcome_prob(state, axes, (1, 1))
         if abs(born - value) > ATOL:
             raise PhysicsAssertionError(
                 f"closed form and state-vector probability disagree for {label}: "

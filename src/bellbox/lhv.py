@@ -213,6 +213,12 @@ def build_ghz_ensemble() -> Ensemble:
 COINCIDENCE_PAIRS = (("dark", "round"), ("round", "swiss"), ("dark", "swiss"))
 
 
+def _gap_and_flag(p_ab, p_bc, p_ac):
+    """bell_gap = p_AB + p_BC - p_AC and violated = bell_gap < 0: Fractions, floats or arrays."""
+    gap = p_ab + p_bc - p_ac
+    return gap, gap < 0
+
+
 def coincides(boxing, prop1: str, prop2: str) -> bool:
     """True when compartment 1 of a two-compartment boxing has prop1 and
     compartment 2 has prop2."""
@@ -313,8 +319,8 @@ class CorrelationReport:
 
     @classmethod
     def from_probs(cls, p_ab, p_bc, p_ac, source: str) -> CorrelationReport:
-        lhs = p_ab + p_bc
-        return cls(p_ab, p_bc, p_ac, lhs, bool(lhs >= p_ac), source)
+        violated = _gap_and_flag(p_ab, p_bc, p_ac)[1]
+        return cls(p_ab, p_bc, p_ac, p_ab + p_bc, not violated, source)
 
 
 def bell_check(ens: Ensemble) -> CorrelationReport:
@@ -356,7 +362,7 @@ class SingletVertex:
 
     @property
     def gap(self) -> int:
-        return self.i_AB + self.i_BC - self.i_AC
+        return _gap_and_flag(self.i_AB, self.i_BC, self.i_AC)[0]
 
 
 @dataclass(frozen=True)
@@ -383,13 +389,13 @@ def enumerate_singlet_lhv() -> SingletEnumeration:
         box = SingletBoxing.from_first(t)
         indicators = (int(coincides(box, p1, p2)) for p1, p2 in COINCIDENCE_PAIRS)
         vertices.append(SingletVertex(t, *indicators))
-    gaps = [v.gap for v in vertices]
-    min_gap = min(gaps)
+    verdicts = [_gap_and_flag(v.i_AB, v.i_BC, v.i_AC) for v in vertices]
+    min_gap = min(gap for gap, _ in verdicts)
     return SingletEnumeration(
         vertices=tuple(vertices),
         min_gap=min_gap,
         tight_vertices=tuple(v.triple for v in vertices if v.gap == min_gap),
-        all_satisfied=all(g >= 0 for g in gaps),
+        all_satisfied=not any(violated for _, violated in verdicts),
         uniform_report=bell_check(build_singlet_ensemble()),
     )
 
@@ -502,20 +508,24 @@ def ensemble_to_dict(ens: Ensemble) -> dict:
 
 
 def ensemble_from_dict(doc: dict) -> Ensemble:
-    """Inverse of ensemble_to_dict; all ensemble invariants are re-checked."""
-    cls = _KINDS.get(doc.get("kind"))
-    if cls is None:
-        raise ValueError(f"unknown ensemble kind {doc.get('kind')!r}")
-    entries = []
-    for entry in doc["entries"]:
-        box = entry["boxing"]
-        if cls is GhzBoxing:
-            boxing = GhzBoxing(tuple(box["dark"]), tuple(box["round"]), box["swiss"])
-        else:
-            boxing = cls(
-                AttributeTriple(**box["compartment1"]),
-                AttributeTriple(**box["compartment2"]),
-            )
-        weight = Fraction(entry["weight"]["numerator"], entry["weight"]["denominator"])
-        entries.append((boxing, weight))
+    """Inverse of ensemble_to_dict; all ensemble invariants are re-checked,
+    and any malformed document, whatever its defect, raises ValueError."""
+    try:
+        cls = _KINDS.get(doc.get("kind"))
+        if cls is None:
+            raise ValueError(f"unknown ensemble kind {doc.get('kind')!r}")
+        entries = []
+        for entry in doc["entries"]:
+            box = entry["boxing"]
+            if cls is GhzBoxing:
+                boxing = GhzBoxing(tuple(box["dark"]), tuple(box["round"]), box["swiss"])
+            else:
+                boxing = cls(
+                    AttributeTriple(**box["compartment1"]),
+                    AttributeTriple(**box["compartment2"]),
+                )
+            weight = Fraction(entry["weight"]["numerator"], entry["weight"]["denominator"])
+            entries.append((boxing, weight))
+    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed ensemble document: {exc!r}") from exc
     return Ensemble(tuple(entries))

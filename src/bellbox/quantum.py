@@ -309,13 +309,9 @@ def mixed_vs_superposition_report(axis: MeasurementAxis) -> AxisDistributions:
     The two agree along z and differ along most other axes, which is what
     makes them physically distinct preparations.
     """
-    plus, minus = axis_eigenstates(axis)
-    rho = maximally_mixed().entries
-    mixed = tuple(
-        float(np.real(np.vdot(e.amplitudes, rho @ e.amplitudes))) for e in (plus, minus)
+    rho = maximally_mixed()
+    phi_state = PureState(np.array([1.0, 1.0]) / _SQRT2)
+    return AxisDistributions(
+        mixed=tuple(sequential_measure_prob(rho, [(axis, s)]) for s in (1, -1)),
+        superposition=tuple(joint_outcome_prob(phi_state, [axis], [s]) for s in (1, -1)),
     )
-    phi_state = np.array([1.0, 1.0]) / _SQRT2
-    superposition = tuple(
-        float(np.abs(np.vdot(e.amplitudes, phi_state)) ** 2) for e in (plus, minus)
-    )
-    return AxisDistributions(mixed=mixed, superposition=superposition)

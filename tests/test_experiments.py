@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellbox import experiments
 from bellbox.experiments import (
@@ -31,10 +31,12 @@ from bellbox.experiments import (
 )
 from bellbox.lhv import (
     AttributeTriple,
+    CorrelationReport,
     Ensemble,
     SingletBoxing,
     build_ghz_ensemble,
     build_singlet_ensemble,
+    enumerate_singlet_lhv,
 )
 from bellbox.quantum import ATOL, MeasurementAxis, joint_outcome_prob, singlet_state
 from fractions import Fraction
@@ -117,6 +119,35 @@ class TestBellPoint:
             BellPoint(0.0, 0.0, 0.7, 0.0, 0.0, 0.7, False)
         with pytest.raises(ValueError):
             BellPoint(0.0, 0.0, 0.1, 0.1, 0.1, 0.1, True)
+
+
+class TestVerdicts:
+    """CorrelationReport.satisfied and BellPoint.violated read one inequality,
+    p_AB + p_BC >= p_AC; gap exactly 0 satisfies it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 0.5))
+    @example(0.25, 0.25, 0.5)
+    @example(0.0, 0.0, 0.0)
+    @example(0.5, 0.0, 0.5)
+    @example(0.0, 0.5, 0.5)
+    def test_float_verdicts_agree(self, a, b, c):
+        report = CorrelationReport.from_probs(a, b, c, "sampled")
+        assert report.satisfied == (not BellPoint.from_probs(0.0, 0.0, a, b, c).violated)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(0, 1), st.fractions(0, 1), st.fractions(0, 1))
+    @example(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    def test_exact_verdict_is_the_inequality(self, a, b, c):
+        assert CorrelationReport.from_probs(a, b, c, "exact").satisfied == (a + b - c >= 0)
+
+    def test_tight_vertices_satisfy_both_verdicts(self):
+        tight = [v for v in enumerate_singlet_lhv().vertices if v.gap == 0]
+        assert tight
+        for v in tight:
+            indicators = (v.i_AB, v.i_BC, v.i_AC)
+            assert CorrelationReport.from_probs(*map(Fraction, indicators), "exact").satisfied
+            assert not BellPoint.from_probs(0.0, 0.0, *(i / 2 for i in indicators)).violated
 
 
 class TestBellSweep:

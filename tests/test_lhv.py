@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellbox.lhv import (
     AttributeTriple,
@@ -59,6 +59,49 @@ def ensembles(draw):
     boxings = BOXINGS[draw(st.sampled_from(sorted(BOXINGS)))]
     pairs = draw(st.lists(st.tuples(boxings, st.integers(1, 10**12)), min_size=1, max_size=8))
     return Ensemble.from_counts(pairs)
+
+
+# Any value json.loads can return.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON document, as keys and indexes."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid ensemble document with one value replaced or removed, or one
+    key added."""
+    doc = json.loads(json.dumps(ensemble_to_dict(draw(ensembles()))))
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    action = draw(st.sampled_from(("replace", "remove", "add")))
+    if action == "replace":
+        parent[path[-1]] = draw(JSON_VALUES)
+    elif action == "remove":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[draw(st.text(max_size=8))] = draw(JSON_VALUES)
+    else:
+        parent.append(draw(JSON_VALUES))
+    return doc
 
 
 def random_singlet_ensemble(rng):
@@ -384,6 +427,33 @@ class TestSerialization:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             ensemble_from_dict({"kind": "other", "entries": []})
+
+    @settings(max_examples=500, deadline=None)
+    @given(JSON_VALUES | mutated_documents() | st.fixed_dictionaries(
+        {"kind": st.sampled_from(("singlet", "unconstrained", "ghz")), "entries": JSON_VALUES}))
+    @example({"kind": ["singlet"], "entries": []})
+    @example({"kind": "singlet"})
+    @example({"kind": "singlet", "entries": [{
+        "boxing": {"compartment1": {"dark": 1, "round": 1, "swiss": 1},
+                   "compartment2": {"dark": -1, "round": -1, "swiss": -1}},
+        "weight": {"numerator": 1, "denominator": 0}}]})
+    @example({"kind": "singlet", "entries": [{
+        "boxing": {"compartment1": {"dark": 1, "round": 1, "swiss": 1},
+                   "compartment2": {"dark": -1, "round": -1, "swiss": -1}},
+        "weight": {"numerator": 0.5, "denominator": 1}}]})
+    @example({"kind": "ghz", "entries": [{
+        "boxing": {"dark": 5, "round": [1, 1, 1], "swiss": 1},
+        "weight": {"numerator": 1, "denominator": 1}}]})
+    @example({"kind": "singlet", "entries": [{
+        "boxing": {"compartment1": {"dark": 1, "round": 1, "swiss": 1, "shiny": 1},
+                   "compartment2": {"dark": -1, "round": -1, "swiss": -1}},
+        "weight": {"numerator": 1, "denominator": 1}}]})
+    def test_any_document_loads_or_raises_value_error(self, doc):
+        try:
+            ens = ensemble_from_dict(doc)
+        except ValueError:
+            return
+        assert isinstance(ens, Ensemble)
 
     def test_invariants_rechecked_on_load(self):
         doc = ensemble_to_dict(build_singlet_ensemble())

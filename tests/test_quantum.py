@@ -409,13 +409,14 @@ class TestMixedVsSuperposition:
         assert report.mixed == pytest.approx((0.5, 0.5), abs=ATOL)
         assert report.superposition == pytest.approx((1.0, 0.0), abs=ATOL)
 
-    def test_formula_on_random_axes(self):
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_formula_on_random_axes(self, theta, phi):
         # mixed stays even; the superposition follows (1 + sin(theta)cos(phi)) / 2
-        rng = np.random.default_rng(81)
-        for _ in range(100):
-            axis = random_axis(rng)
-            report = mixed_vs_superposition_report(axis)
-            assert report.mixed == pytest.approx((0.5, 0.5), abs=ATOL)
-            p_plus = 0.5 * (1.0 + math.sin(axis.theta) * math.cos(axis.phi))
-            assert report.superposition[0] == pytest.approx(p_plus, abs=ATOL)
-            assert sum(report.superposition) == pytest.approx(1.0, abs=ATOL)
+        axis = MeasurementAxis(theta, phi)
+        report = mixed_vs_superposition_report(axis)
+        assert report.mixed == pytest.approx((0.5, 0.5), abs=ATOL)
+        p_plus = 0.5 * (1.0 + math.sin(axis.theta) * math.cos(axis.phi))
+        assert report.superposition[0] == pytest.approx(p_plus, abs=ATOL)
+        assert sum(report.superposition) == pytest.approx(1.0, abs=ATOL)
