@@ -141,7 +141,10 @@ def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
                 f"closed form and state-vector probability disagree for {label}: "
                 f"{value} vs {born}"
             )
-    return BellPoint.from_probs(theta1, theta2, *closed)
+    try:
+        return BellPoint.from_probs(theta1, theta2, *closed)
+    except ValueError as exc:
+        raise PhysicsAssertionError(str(exc)) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +226,10 @@ def quantum_bell_sweep(
         [a.reshape(-1) for a in (g1, g2, *probs, *_gap_and_flag(*probs))],
         dtype=BELL_POINT_DTYPE,
     )
-    _check_bell_fields(points)
+    try:
+        _check_bell_fields(points)
+    except ValueError as exc:
+        raise PhysicsAssertionError(str(exc)) from exc
     # the checks above hold only while the records stay as computed
     points.flags.writeable = False
     minimum = BellPoint(*points[int(np.argmin(points.bell_gap))].tolist())

@@ -29,11 +29,10 @@ MIXED_PATTERNS = ("xyy", "yxy", "yyx")
 PARITY_PATTERNS = (*MIXED_PATTERNS, "xxx")
 
 
-def _checked_sign(value: int, name: str) -> int:
-    # bool is an int subclass; keep True/False out of sign slots
-    if isinstance(value, bool) or value not in (1, -1):
+def _checked_sign(value: int, name: str) -> None:
+    # only an int: 1.0 == 1, and bool is an int subclass
+    if type(value) is not int or value not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1, got {value!r}")
-    return int(value)
 
 
 def _checked_property(prop: str) -> str:

@@ -537,6 +537,56 @@ def test_text_tables_match_oracle(table):
     assert render(env, "text") == RENDERERS["text"](env)
 
 
+def _neighbours(x: float, ulps: int) -> list[float]:
+    """x and the floats up to ulps steps either side of it."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+@st.composite
+def near_duplicate_columns(draw, rows, finite=True):
+    """float64 columns of values whose 12-digit texts mostly coincide:
+    values a few ulps apart, both zeros, and the floats either side of a
+    13-digit number ending in 5, where the 12th digit rounds up."""
+    values = [0.0, -0.0] if finite else [0.0, -0.0, math.nan, -math.nan]
+    for _ in range(draw(st.integers(1, 3))):
+        x = draw(st.floats(allow_nan=not finite, allow_infinity=not finite))
+        values += _neighbours(x, draw(st.integers(1, 4)))
+        digits = draw(st.integers(10**11, 10**12 - 1)) * 10 + 5
+        sign = draw(st.sampled_from("+-"))
+        values += _neighbours(float(f"{sign}{digits}e{draw(st.integers(-40, 40))}"), 1)
+    values = [v for v in values if math.isfinite(v) or not finite]
+    return np.array(draw(st.lists(st.sampled_from(values), min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda rows: near_duplicate_columns(rows, finite=False)))
+def test_distinct_cells_keeps_each_text_once(column):
+    texts, index = cli._distinct_cells(column)
+    assert len(set(texts)) == len(texts)
+    assert [texts[i] for i in index] == [cli._cell(v) for v in column]
+
+
+@st.composite
+def near_duplicate_tables(draw):
+    rows = draw(st.integers(0, 40))
+    columns = [draw(near_duplicate_columns(rows)) for _ in range(draw(st.integers(1, 3)))]
+    return cli.Table(tuple(f"c{j}" for j in range(len(columns))), tuple(columns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_duplicate_tables())
+def test_near_duplicate_floats_match_oracle(table):
+    env = _envelope({"points": table}, dataclasses.replace(table, covers=("points",)))
+    for fmt in sorted(RENDERERS):
+        assert render(env, fmt) == RENDERERS[fmt](env)
+
+
 @pytest.mark.parametrize("text,alone,want", [
     ("plain", False, "plain"),
     ("a,b", False, '"a,b"'),
@@ -714,6 +764,20 @@ class TestOutputAndExitCodes:
         monkeypatch.setattr("bellbox.experiments.ghz_contradiction_report", broken)
         assert main(["ghz-parity"]) == 2
         assert "physics assertion failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["bell-sweep", "--grid-step", "30"], ["singlet-bell"]])
+    def test_failed_bell_record_check_exits_two(self, argv, monkeypatch, tmp_path, capsys):
+        closed_form, born = experiments._closed_form_probs, experiments.joint_outcome_prob
+        monkeypatch.setattr(experiments, "_closed_form_probs",
+                            lambda t1, t2: tuple(3 * p for p in closed_form(t1, t2)))
+        # the Born rule agrees with the tripled closed forms, so what fails is
+        # the check that each probability lies in [0, 1/2]
+        monkeypatch.setattr(experiments, "joint_outcome_prob", lambda *args: 3 * born(*args))
+        assert main([*argv, "--output", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bellbox: physics assertion failed: p_q_")
+        assert err.count("\n") == 1 and "out of [0, 1/2]" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_stdout_round_trip(self, capsys):
         assert main(["lhv-enumerate", "ghz", "--format", "json"]) == 0

@@ -211,7 +211,7 @@ class TestBellSweep:
             return np.where(t1 == t1.max(), p_ab + 0.6, p_ab), p_bc, p_ac
 
         monkeypatch.setattr(experiments, "_closed_form_probs", out_of_range)
-        with pytest.raises(ValueError, match="p_q_AB"):
+        with pytest.raises(PhysicsAssertionError, match="p_q_AB"):
             quantum_bell_sweep(math.radians(30.0))
 
     def test_steps_dividing_180_keep_their_point_count(self):

@@ -424,6 +424,22 @@ class TestSerialization:
             assert isinstance(weight["numerator"], int)
             assert isinstance(weight["denominator"], int)
 
+    @pytest.mark.parametrize("build,path", [
+        (build_singlet_ensemble, ("compartment1", "dark")),
+        (build_singlet_ensemble, ("compartment2", "swiss")),
+        (build_ghz_ensemble, ("dark", 0)),
+        (build_ghz_ensemble, ("swiss",)),
+    ])
+    def test_float_sign_rejected(self, build, path):
+        # 1.0 == 1, so a float sign would load and be written back as a float
+        doc = json.loads(json.dumps(ensemble_to_dict(build())))
+        slot = doc["entries"][0]["boxing"]
+        for key in path[:-1]:
+            slot = slot[key]
+        slot[path[-1]] = float(slot[path[-1]])
+        with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+            ensemble_from_dict(doc)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             ensemble_from_dict({"kind": "other", "entries": []})
