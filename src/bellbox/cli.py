@@ -728,17 +728,17 @@ def _text_table(table: Table):
     columns = []
     # rows whose cells right of the current column are all blank: the line
     # ends in this column, cut after its last non-blank character.  Such a
-    # row's index points past the padded texts, to the cut ones, which in
-    # the last column carry the line end.
+    # row's index points past the padded texts, to the cut ones.  In the
+    # last column every row is one: it has only cut texts, with the line end.
     ends_here = np.ones(len(table), dtype=bool)
     for j in reversed(range(len(distinct))):
         texts, index = distinct[j]
         lead, end = "  " if j else "", "\n" if j == len(distinct) - 1 else ""
-        padded = [lead + t.ljust(widths[j]) for t in texts]
+        padded = [] if end else [lead + t.ljust(widths[j]) for t in texts]
         if ends_here.any():
             cut = [(lead + t).rstrip() + end for t in texts]
             blank = np.array([c == end for c in cut], dtype=bool)[index]
-            index[ends_here] += len(texts)
+            index[ends_here] += len(padded)
             ends_here &= blank
             padded += cut
         columns.append((_texts(padded), index))

@@ -3,16 +3,19 @@
 A traced benchmark run wraps every public function of the four layer modules
 and reports a metric for each name BENCHMARK.json lists; a listed function
 that was renamed, made private or moved stops that run with "metrics named in
-BENCHMARK.json but not produced".  This reads BENCHMARK.json and never edits
-it."""
+BENCHMARK.json but not produced".  The work counts it takes at a call read the
+call's arguments by parameter name.  This reads BENCHMARK.json and
+bench/tracing.py and never edits them."""
 
 import importlib
+import importlib.util
 import inspect
 import json
 from pathlib import Path
 
 LAYERS = ("quantum", "lhv", "experiments", "cli")
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def test_traced_names_are_public_layer_functions():
@@ -26,3 +29,18 @@ def test_traced_names_are_public_layer_functions():
         fn = getattr(module, name, None)
         assert not name.startswith("_"), f"{layer}.{name}"
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, f"{layer}.{name}"
+
+
+def test_counted_arguments_are_parameters():
+    # a traced run reads each counted argument, and each render's format, by
+    # parameter name: a renamed parameter fails only that run, with a KeyError
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # bench/ is not a package
+    for qualname, (_, param, _) in tracing.COUNTERS.items():
+        layer, name = qualname.split(".")
+        fn = getattr(importlib.import_module(f"bellbox.{layer}"), name)
+        if param is not None:
+            assert param in inspect.signature(fn).parameters, qualname
+    render = importlib.import_module("bellbox.cli").render
+    assert "fmt" in inspect.signature(render).parameters

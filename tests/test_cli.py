@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 import bellbox
 from bellbox import cli
 from bellbox.cli import SCHEMA_PATH, main, parse_args, render, run
-from bellbox import experiments
+from bellbox import experiments, lhv
 from bellbox.experiments import PhysicsAssertionError
 from oracles import RENDERERS
 
@@ -644,6 +644,53 @@ def test_output_file_holds_the_stdout_bytes(argv, fmt, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [target]
 
 
+_born, _closed_form = experiments.joint_outcome_prob, experiments._closed_form_probs
+# the bell_gap field stored at single precision, every other field as before
+_SINGLE_GAP = np.dtype([(name, np.float32 if name == "bell_gap" else dtype)
+                        for name, (dtype, _) in experiments.BELL_POINT_DTYPE.fields.items()])
+
+# One row per check a report makes, keyed by the start of its message: the
+# smallest patch that breaks the value the check guards, never the check
+# itself, and an argv whose report makes the check.
+CHECK_BREAKS = {
+    "parity contradiction did not materialize": (
+        # every quantum parity expectation +1, xxx too
+        lambda mp: mp.setattr(experiments, "product_expectation", lambda state, obs: 1.0),
+        ["ghz-parity"],
+    ),
+    "an outcome probability missed its 0-or-1/4 target": (
+        lambda mp: mp.setattr(experiments, "joint_outcome_prob",
+                              lambda *args: _born(*args) + 1e-6),
+        ["ghz-parity"],
+    ),
+    "parity enumeration certificate failed": (
+        # a rule of two mixed patterns admits 16 of the 64 assignments
+        lambda mp: mp.setattr(lhv, "MIXED_PATTERNS", lhv.MIXED_PATTERNS[:2]),
+        ["lhv-enumerate", "ghz"],
+    ),
+    "inequality enumeration certificate failed": (
+        # in reverse order the pairs give the vertex (1, -1, 1) a gap of -1
+        lambda mp: mp.setattr(lhv, "COINCIDENCE_PAIRS", lhv.COINCIDENCE_PAIRS[::-1]),
+        ["lhv-enumerate", "singlet"],
+    ),
+    "closed form and state-vector probability disagree for AB": (
+        lambda mp: mp.setattr(experiments, "_closed_form_probs",
+                              lambda t1, t2: tuple(p + 1e-6 for p in _closed_form(t1, t2))),
+        ["singlet-bell"],
+    ),
+    "designed ensemble parity xyy is not constant": (
+        # the swiss sign is +1 on half the designed boxes, -1 on the rest
+        lambda mp: mp.setattr(lhv.GhzBoxing, "pattern_product", lambda box, pattern: box.swiss),
+        ["ghz-parity"],
+    ),
+    "bell_gap or violated inconsistent with the probabilities": (
+        # gaps rounded to single precision differ from the ones recomputed
+        lambda mp: mp.setattr(experiments, "BELL_POINT_DTYPE", _SINGLE_GAP),
+        ["bell-sweep", "--grid-step", "30"],
+    ),
+}
+
+
 class TestOutputAndExitCodes:
     def test_writes_report_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -777,6 +824,16 @@ class TestOutputAndExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("bellbox: physics assertion failed: p_q_")
         assert err.count("\n") == 1 and "out of [0, 1/2]" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("message", sorted(CHECK_BREAKS))
+    def test_every_check_can_fire(self, message, monkeypatch, tmp_path, capsys):
+        breaks, argv = CHECK_BREAKS[message]
+        breaks(monkeypatch)
+        assert main([*argv, "--output", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bellbox: physics assertion failed: {message}")
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_stdout_round_trip(self, capsys):
