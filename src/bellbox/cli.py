@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiments, lhv, quantum
-from .experiments import PhysicsAssertionError
+from .experiments import _BLOCK_ROWS, PhysicsAssertionError
 
 TOOL_NAME = "bellbox"
 SCHEMA_VERSION = "1"
@@ -548,30 +549,37 @@ def _is_column(column, dtype) -> bool:
     return isinstance(column, np.ndarray) and column.dtype == dtype
 
 
-def _distinct_cells(column) -> tuple[list[str], np.ndarray]:
+def _distinct_cells(column, final=list) -> tuple[list[str], np.ndarray]:
     """The cell texts of one Table column, as _cell writes them, each once
-    for a float64 or bool column, and the index of each row's text, as
-    int32: a sweep has at most MAX_SWEEP_POINTS rows.
+    for a float64 or bool column, passed through final (texts to the list of
+    the format's texts), and the index of each row's text, as int32: a sweep
+    has at most MAX_SWEEP_POINTS rows.
 
-    Floats are formatted once per distinct value, told apart by their bits
-    so -0.0 and 0.0 stay distinct, and values that round to one text share
-    it: the 0.5 degree sweep's bell_gap has 91,118 values in 130,321 rows
-    but 43,420 texts (1 degree: 22,824 and 10,896 in 32,761)."""
-    if _is_column(column, np.float64):
-        bits, index = np.unique(column.view(np.int64), return_inverse=True)
-        position = {}
-        remap = np.array([position.setdefault(t, len(position)) for t in
-                          map(_number_text, bits.view(np.float64).tolist())], np.int32)
-        return list(position), remap[index]
-    if _is_column(column, np.bool_):
-        values, index = np.unique(column, return_inverse=True)
-        return [_cell(v) for v in values.tolist()], index.astype(np.int32)
-    return [_cell(v) for v in column], np.arange(len(column), dtype=np.int32)
-
-
-def _texts(strings) -> np.ndarray:
-    """strings as an object array, from which cells are gathered by index."""
-    return np.array(list(strings), dtype=object)
+    Values are formatted once each, told apart by their bits so -0.0 and
+    0.0 stay distinct: through dicts up to 64 rows, else from np.unique a
+    block at a time.  In that bit order, values that round to one text are
+    neighbours (NaNs are made one NaN first), so a text is new where it
+    differs from the one before.  The 0.5 degree sweep's bell_gap has 91,118
+    values in 130,321 rows but 43,420 texts (1 degree: 22,824 and 10,896)."""
+    if not (_is_column(column, np.float64) or _is_column(column, np.bool_)):
+        return final(map(_cell, column)), np.arange(len(column), dtype=np.int32)
+    cell = _number_text if column.dtype == np.float64 else _cell
+    if len(column) <= 64:
+        bits, position = column.view(f"i{column.itemsize}").tolist(), {}
+        ids = {b: position.setdefault(cell(v), len(position))
+               for b, v in dict(zip(bits, column.tolist())).items()}
+        return final(position), np.array(list(map(ids.__getitem__, bits)), np.int32)
+    if np.isnan(column).any():
+        column = np.where(np.isnan(column), np.nan, column)
+    bits, index = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+    new = np.empty(len(bits), dtype=bool)
+    texts, last = [], ""
+    for start in range(0, len(bits), _BLOCK_ROWS):
+        block = list(map(cell, bits[start:start + _BLOCK_ROWS].view(column.dtype).tolist()))
+        new[start:start + len(block)] = changed = list(map(str.__ne__, block, [last, *block]))
+        texts += final(itertools.compress(block, changed))
+        last = block[-1]
+    return texts, (np.cumsum(new, dtype=np.int32) - 1)[index]
 
 
 def _json_cells(column, before: str, after: str) -> tuple[np.ndarray, np.ndarray]:
@@ -579,17 +587,13 @@ def _json_cells(column, before: str, after: str) -> tuple[np.ndarray, np.ndarray
     _jsonify's copy of it, between before and after: the distinct texts and
     each row's index into them; finite float64 and bool columns only."""
     if _is_column(column, np.float64) and np.isfinite(column).all():
-        texts, index = _distinct_cells(column)
-        return _texts(f"{before}{float(t)!r}{after}" for t in texts), index
-    if _is_column(column, np.bool_):
-        texts, index = _distinct_cells(column)
-        return _texts(before + t + after for t in texts), index
-    raise TypeError("a Table inside results needs finite float64 or bool columns")
-
-
-# Rows joined into one string at a time: enough to make the per-block cost
-# small, few enough that a block stays well under the size of a report.
-_BLOCK_ROWS = 8192
+        final = lambda texts: [f"{before}{float(t)!r}{after}" for t in texts]
+    elif _is_column(column, np.bool_):
+        final = lambda texts: [before + t + after for t in texts]
+    else:
+        raise TypeError("a Table inside results needs finite float64 or bool columns")
+    texts, index = _distinct_cells(column, final)
+    return np.array(texts, dtype=object), index
 
 
 def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray]]):
@@ -690,9 +694,10 @@ def _render_csv(env: ReportEnvelope):
     alone = len(table.header) == 1
     columns = []
     for j, column in enumerate(table.columns):
-        texts, index = _distinct_cells(column)
         before, after = "," if j else "", "\n" if j == len(table.columns) - 1 else ""
-        columns.append((_texts(before + _csv_field(t, alone) + after for t in texts), index))
+        texts, index = _distinct_cells(
+            column, lambda ts: [before + _csv_field(t, alone) + after for t in ts])
+        columns.append((np.array(texts, dtype=object), index))
     yield ",".join(_csv_field(str(h), alone) for h in table.header) + "\n"
     yield from _row_blocks(columns)
 
@@ -741,7 +746,7 @@ def _text_table(table: Table):
             index[ends_here] += len(padded)
             ends_here &= blank
             padded += cut
-        columns.append((_texts(padded), index))
+        columns.append((np.array(padded, dtype=object), index))
     columns.reverse()
     yield "  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
     yield from _row_blocks(columns)

@@ -169,6 +169,10 @@ class BellSweep:
 # [0, 180] squared (1801 x 1801 = 3,243,601 points) fits, 0.05 degree does not.
 MAX_SWEEP_POINTS = 4_000_000
 _TOO_FINE = f"grid step too fine: more than {MAX_SWEEP_POINTS:,} points"
+# Grid points a sweep computes, and report rows or distinct values the cli
+# formats, at a time: enough to make the per-block cost small, few enough
+# that a block's temporaries stay far under the whole grid's.
+_BLOCK_ROWS = 8192
 # Most draws one Monte Carlo call makes.  A shard's draws are held as arrays
 # of about 16 bytes each: a report at the cap peaks at about 190 MB.
 MAX_SAMPLES = 10**7
@@ -220,16 +224,19 @@ def quantum_bell_sweep(
     _sweep_point_count(step, theta1_range, theta2_range)
     t1 = _grid(*theta1_range, step)
     t2 = _grid(*theta2_range, step)
-    g1, g2 = np.meshgrid(t1, t2, indexing="ij")
-    probs = _closed_form_probs(g1, g2)
-    points = np.rec.fromarrays(
-        [a.reshape(-1) for a in (g1, g2, *probs, *_gap_and_flag(*probs))],
-        dtype=BELL_POINT_DTYPE,
-    )
-    try:
-        _check_bell_fields(points)
-    except ValueError as exc:
-        raise PhysicsAssertionError(str(exc)) from exc
+    points = np.recarray(len(t1) * len(t2), dtype=BELL_POINT_DTYPE)
+    # whole theta1 rows at a time, so no temporary spans the grid
+    rows = max(1, _BLOCK_ROWS // len(t2))
+    for start in range(0, len(t1), rows):
+        g1, g2 = np.meshgrid(t1[start:start + rows], t2, indexing="ij")
+        probs = _closed_form_probs(g1, g2)
+        block = points[start * len(t2):(start + rows) * len(t2)]
+        for name, values in zip(block.dtype.names, (g1, g2, *probs, *_gap_and_flag(*probs))):
+            block[name] = values.reshape(-1)
+        try:
+            _check_bell_fields(block)
+        except ValueError as exc:
+            raise PhysicsAssertionError(str(exc)) from exc
     # the checks above hold only while the records stay as computed
     points.flags.writeable = False
     minimum = BellPoint(*points[int(np.argmin(points.bell_gap))].tolist())

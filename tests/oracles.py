@@ -1,7 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 closed_form_sequential is the textbook formula for the sequential
-measurements.  The render_* functions are bellbox's earlier per-row
+measurements.  bell_sweep_records is bellbox's earlier sweep, which built
+each field over the whole grid and then copied them into records;
+quantum_bell_sweep fills its records a block of rows at a time and must
+give the same bytes.  The render_* functions are bellbox's earlier per-row
 renderers: csv.writer for CSV, one %-template per row for the text table
 and for the JSON rows of a Table inside results.  cli renders whole blocks
 of rows at a time and must write the same bytes."""
@@ -13,7 +16,7 @@ import math
 
 import numpy as np
 
-from bellbox import cli
+from bellbox import cli, experiments
 
 
 def closed_form_sequential(theta1: float, theta2: float) -> tuple[float, float]:
@@ -24,6 +27,24 @@ def closed_form_sequential(theta1: float, theta2: float) -> tuple[float, float]:
     return (
         0.5 * math.sin(theta1 / 2.0) ** 2 * shared,
         0.5 * math.sin(theta2 / 2.0) ** 2 * shared,
+    )
+
+
+def bell_sweep_records(
+    step: float,
+    theta1_range: tuple[float, float] = (0.0, math.pi),
+    theta2_range: tuple[float, float] = (0.0, math.pi),
+) -> np.recarray:
+    """The records of quantum_bell_sweep(step, theta1_range, theta2_range),
+    from one meshgrid over the whole grid."""
+    g1, g2 = np.meshgrid(
+        experiments._grid(*theta1_range, step), experiments._grid(*theta2_range, step),
+        indexing="ij",
+    )
+    probs = experiments._closed_form_probs(g1, g2)
+    return np.rec.fromarrays(
+        [a.reshape(-1) for a in (g1, g2, *probs, *experiments._gap_and_flag(*probs))],
+        dtype=experiments.BELL_POINT_DTYPE,
     )
 
 

@@ -572,6 +572,25 @@ def test_distinct_cells_keeps_each_text_once(column):
     assert [texts[i] for i in index] == [cli._cell(v) for v in column]
 
 
+def test_distinct_cells_joins_texts_across_a_block_edge():
+    # distinct values in bit order: -0.0 and two negative NaNs, then 0.0,
+    # 1.0, ..., then five ulp neighbours of 1e6 (one text) across the edge
+    # between the first two blocks, then more numbers and two positive NaNs
+    run = _neighbours(1e6, 2)
+    nans = np.array([np.nan, -np.nan, np.nan, -np.nan])
+    nans.view(np.int64)[2:] |= 1
+    before = np.arange(BLOCK - 3 - len(run) // 2, dtype=np.float64)
+    column = np.concatenate([before, [-0.0], nans, run, 2e6 + np.arange(BLOCK)])
+    column = np.random.default_rng(5).permutation(np.concatenate([column, column[::7]]))
+    bits = np.unique(column.view(np.int64))
+    edge = np.searchsorted(bits, np.array(sorted(run)).view(np.int64))
+    assert edge[0] < BLOCK <= edge[-1]
+    texts, index = cli._distinct_cells(column)
+    assert len(set(texts)) == len(texts)
+    assert texts.count(cli._cell(1e6)) == texts.count("nan") == 1
+    assert [texts[i] for i in index] == [cli._cell(v) for v in column]
+
+
 @st.composite
 def near_duplicate_tables(draw):
     rows = draw(st.integers(0, 40))

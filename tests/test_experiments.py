@@ -6,6 +6,7 @@ so the module under test cannot vouch for itself."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from bellbox.lhv import (
 from bellbox.quantum import ATOL, MeasurementAxis, joint_outcome_prob, singlet_state
 from fractions import Fraction
 
-from oracles import closed_form_sequential
+from oracles import bell_sweep_records, closed_form_sequential
 
 REF_T1 = math.pi / 3.0
 REF_T2 = 2.0 * math.pi / 3.0
@@ -204,15 +205,53 @@ class TestBellSweep:
             sweep.points.bell_gap[0] = -1.0
 
     def test_column_checks_run(self, monkeypatch):
-        # only the last row goes out of range, away from the minimum, which
-        # BellPoint checks on its own
+        # only the grid's last theta1 row (180 degrees) goes out of range,
+        # away from the minimum, which BellPoint checks on its own.  Blocks
+        # of two 7-point rows leave that row alone in the last block.
         def out_of_range(t1, t2):
             p_ab, p_bc, p_ac = np.vectorize(reference_probs)(t1, t2)
-            return np.where(t1 == t1.max(), p_ab + 0.6, p_ab), p_bc, p_ac
+            return np.where(t1 > math.radians(170.0), p_ab + 0.6, p_ab), p_bc, p_ac
 
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", 14)
         monkeypatch.setattr(experiments, "_closed_form_probs", out_of_range)
         with pytest.raises(PhysicsAssertionError, match="p_q_AB"):
             quantum_bell_sweep(math.radians(30.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=0.01, max_value=1.0),
+        st.floats(min_value=-7.0, max_value=7.0),
+        st.integers(0, 30),
+        st.floats(min_value=-7.0, max_value=7.0),
+        st.integers(0, 30),
+        st.integers(1, 100),
+    )
+    # a single row, a single column, and blocks of 3 rows whose last holds 1
+    @example(0.1, 0.0, 0, 0.0, 20, 7)
+    @example(0.1, 0.0, 20, 0.0, 0, 7)
+    @example(0.1, 0.0, 12, 0.0, 9, 30)
+    def test_records_match_the_whole_grid_oracle(self, step, lo1, steps1, lo2, steps2, block):
+        ranges = (lo1, lo1 + steps1 * step), (lo2, lo2 + steps2 * step)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_BLOCK_ROWS", block)
+            points = quantum_bell_sweep(step, *ranges).points
+        assert points.tobytes() == bell_sweep_records(step, *ranges).tobytes()
+
+    @pytest.mark.parametrize("step_deg", [1.0, 0.5, 0.3])
+    def test_records_match_the_whole_grid_oracle_at_full_blocks(self, step_deg):
+        # 45 of 181 rows, 22 of 361 and 13 of 601 fill a block: each grid
+        # ends in a partial one
+        step = math.radians(step_deg)
+        assert quantum_bell_sweep(step).points.tobytes() == bell_sweep_records(step).tobytes()
+
+    def test_peak_memory_follows_the_records(self):
+        tracemalloc.start()
+        try:
+            points = quantum_bell_sweep(math.radians(0.5)).points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * points.nbytes
 
     def test_steps_dividing_180_keep_their_point_count(self):
         for step in (0.1, 0.25, 0.5, 0.75, 1, 2.5, 5, 7.5, 10, 15, 30, 45, 60, 90, 180):
