@@ -587,7 +587,10 @@ def _json_cells(column, before: str, after: str) -> tuple[np.ndarray, np.ndarray
     _jsonify's copy of it, between before and after: the distinct texts and
     each row's index into them; finite float64 and bool columns only."""
     if _is_column(column, np.float64) and np.isfinite(column).all():
-        final = lambda texts: [f"{before}{float(t)!r}{after}" for t in texts]
+        # repr(float(t)) has t's digits, at most 12, so it differs from t only
+        # in layout: a t in fixed point with a fraction is its own repr
+        final = lambda texts: [before + (t if "." in t and "e" not in t else repr(float(t)))
+                               + after for t in texts]
     elif _is_column(column, np.bool_):
         final = lambda texts: [before + t + after for t in texts]
     else:
