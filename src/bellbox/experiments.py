@@ -114,7 +114,7 @@ def _check_bell_fields(points) -> None:
     """The probabilities lie in [0, 1/2]; bell_gap and violated follow from them.
 
     Fields are read by attribute, so this checks one BellPoint or, column by
-    column, a whole record array of BELL_POINT_DTYPE.
+    column, a block of BELL_POINT_DTYPE records; a message gives the block's range.
     """
     for name in ("p_q_AB", "p_q_BC", "p_q_AC"):
         p = getattr(points, name)

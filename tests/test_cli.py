@@ -627,17 +627,16 @@ def test_json_tables_in_results_match_oracle(first, second):
     assert render(env, "json") == RENDERERS["json"](env)
 
 
-# where a 12-digit text and its float's repr part: fixed point against
-# exponents (1e-4 and 1e-5; 1e12 to 1e16), integers, zeros, ties that round
-# the 12th digit up, and a long column for the numpy path
+# where a 12-digit text and its float's repr are laid out apart: fixed point
+# against exponents (1e-4 and 1e-5; 1e12 to 1e16), integers, zeros, and ties
+# that round the 12th digit up
 JSON_EDGES = [1e-4, 1e-5, 9.99999999999e-5, 0.00012345678901234, 1e11 + 0.5, 1e12, 1.5e15,
               1.5e16, 123.0, -0.0, 0.0, 0.1, 2.0 / 3.0, -1234567.8901234, 1e-300, 1.7e308]
 
 
-@pytest.mark.parametrize("rows", [2 * len(JSON_EDGES), 100])
-def test_json_numbers_match_oracle_at_layout_edges(rows):
+def test_json_numbers_match_oracle_at_layout_edges():
     signed = np.array(JSON_EDGES + [-v for v in JSON_EDGES])
-    table = cli.Table(("x",), (np.resize(signed, rows),))
+    table = cli.Table(("x",), (np.resize(signed, 100),))
     env = _envelope({"points": table}, dataclasses.replace(table, covers=("points",)))
     assert render(env, "json") == RENDERERS["json"](env)
 

@@ -6,6 +6,7 @@ so the module under test cannot vouch for itself."""
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -214,7 +215,11 @@ class TestBellSweep:
 
         monkeypatch.setattr(experiments, "_BLOCK_ROWS", 14)
         monkeypatch.setattr(experiments, "_closed_form_probs", out_of_range)
-        with pytest.raises(PhysicsAssertionError, match="p_q_AB"):
+        # the message gives the range of the failing block: the last row's
+        grid = experiments._grid(0.0, math.pi, math.radians(30.0))
+        p_ab = np.vectorize(reference_probs)(grid[-1], grid)[0] + 0.6
+        message = f"p_q_AB out of [0, 1/2]: {np.min(p_ab)} to {np.max(p_ab)}"
+        with pytest.raises(PhysicsAssertionError, match=f"^{re.escape(message)}$"):
             quantum_bell_sweep(math.radians(30.0))
 
     @settings(max_examples=200, deadline=None)
