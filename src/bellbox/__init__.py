@@ -40,10 +40,7 @@ from .lhv import (
     parity_product,
     enumerate_singlet_lhv,
     enumerate_ghz_lhv,
-    sample,
     sample_indices,
-    ensemble_to_dict,
-    ensemble_from_dict,
 )
 from .experiments import (
     PhysicsAssertionError,

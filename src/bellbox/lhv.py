@@ -464,67 +464,3 @@ def sample_indices(ens: Ensemble, rng: np.random.Generator, count: int) -> np.nd
     if count < 1:
         raise ValueError("count must be at least 1")
     return _draw([float(w) for _, w in ens.entries], rng, count)
-
-
-def sample(ens: Ensemble, rng: np.random.Generator):
-    """Draw one boxing with probability equal to its weight."""
-    return ens.entries[int(sample_indices(ens, rng, 1)[0])][0]
-
-
-_KINDS = {"singlet": SingletBoxing, "unconstrained": UnconstrainedBoxing, "ghz": GhzBoxing}
-
-
-def _triple_to_dict(t: AttributeTriple) -> dict:
-    return {"dark": t.dark, "round": t.round, "swiss": t.swiss}
-
-
-def _boxing_to_dict(boxing) -> dict:
-    if isinstance(boxing, GhzBoxing):
-        return {
-            "dark": list(boxing.dark),
-            "round": list(boxing.round),
-            "swiss": boxing.swiss,
-        }
-    return {
-        "compartment1": _triple_to_dict(boxing.compartment1),
-        "compartment2": _triple_to_dict(boxing.compartment2),
-    }
-
-
-def ensemble_to_dict(ens: Ensemble) -> dict:
-    """JSON-ready form: attribute signs plus weights as numerator/denominator."""
-    kind = next(k for k, cls in _KINDS.items() if cls is ens.boxing_type)
-    return {
-        "kind": kind,
-        "entries": [
-            {
-                "boxing": _boxing_to_dict(b),
-                "weight": {"numerator": w.numerator, "denominator": w.denominator},
-            }
-            for b, w in ens.entries
-        ],
-    }
-
-
-def ensemble_from_dict(doc: dict) -> Ensemble:
-    """Inverse of ensemble_to_dict; all ensemble invariants are re-checked,
-    and any malformed document, whatever its defect, raises ValueError."""
-    try:
-        cls = _KINDS.get(doc.get("kind"))
-        if cls is None:
-            raise ValueError(f"unknown ensemble kind {doc.get('kind')!r}")
-        entries = []
-        for entry in doc["entries"]:
-            box = entry["boxing"]
-            if cls is GhzBoxing:
-                boxing = GhzBoxing(tuple(box["dark"]), tuple(box["round"]), box["swiss"])
-            else:
-                boxing = cls(
-                    AttributeTriple(**box["compartment1"]),
-                    AttributeTriple(**box["compartment2"]),
-                )
-            weight = Fraction(entry["weight"]["numerator"], entry["weight"]["denominator"])
-            entries.append((boxing, weight))
-    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed ensemble document: {exc!r}") from exc
-    return Ensemble(tuple(entries))

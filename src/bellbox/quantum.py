@@ -18,7 +18,7 @@ Conventions fixed here and relied on by every other module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,10 +42,12 @@ def principal_angle(angle: float) -> float:
 
 @dataclass(frozen=True)
 class MeasurementAxis:
-    """Spin measurement direction, stored with theta in [0, pi] and phi in [0, 2*pi)."""
+    """Spin measurement direction, stored with theta in [0, pi] and phi in [0, 2*pi), and
+    its read-only eigenbasis: columns for eigenvalues +1 and -1, with half-angle phases."""
 
     theta: float
     phi: float = 0.0
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
@@ -61,6 +63,13 @@ class MeasurementAxis:
             phi = 0.0  # a tiny negative phi rounds up to a whole turn
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
+        half = 0.5 * theta
+        up_phase = complex(math.cos(0.5 * phi), -math.sin(0.5 * phi))
+        down_phase = up_phase.conjugate()
+        basis = np.array([[up_phase * math.cos(half), -up_phase * math.sin(half)],
+                          [down_phase * math.sin(half), down_phase * math.cos(half)]])
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
 
     def unit_vector(self) -> tuple[float, float, float]:
         return (
@@ -71,8 +80,7 @@ class MeasurementAxis:
 
     def operator(self) -> np.ndarray:
         """2x2 Hermitian matrix of the spin component along this axis."""
-        nx, ny, nz = self.unit_vector()
-        return np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]], dtype=complex)
+        return (self.basis * [1, -1]) @ self.basis.conj().T
 
 
 X_AXIS = MeasurementAxis(math.pi / 2.0, 0.0)
@@ -163,30 +171,29 @@ def pauli_observable(letters: str) -> ProductObservable:
 
 def axis_eigenstates(axis: MeasurementAxis) -> tuple[PureState, PureState]:
     """Unit eigenvectors of the axis spin component, eigenvalues +1 and -1."""
-    half = 0.5 * axis.theta
-    up_phase = complex(math.cos(0.5 * axis.phi), -math.sin(0.5 * axis.phi))
-    down_phase = up_phase.conjugate()
-    plus = np.array([up_phase * math.cos(half), down_phase * math.sin(half)])
-    minus = np.array([-up_phase * math.sin(half), down_phase * math.cos(half)])
+    plus, minus = axis.basis.T
     return PureState(plus), PureState(minus)
 
 
+_SINGLET = PureState(np.array([0.0, 1.0, -1.0, 0.0]) / _SQRT2)
+_GHZ = PureState(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]) / _SQRT2)
+_MAXIMALLY_MIXED = DensityMatrix(0.5 * np.eye(2))
+
+
 def singlet_state() -> PureState:
-    """Two-site antisymmetric state: (up-down minus down-up) / sqrt(2)."""
-    return PureState(np.array([0.0, 1.0, -1.0, 0.0]) / _SQRT2)
+    """Two-site antisymmetric state: (up-down minus down-up) / sqrt(2); one shared object."""
+    return _SINGLET
 
 
 def ghz_state() -> PureState:
-    """Three-site state: (up-up-up minus down-down-down) / sqrt(2)."""
-    amps = np.zeros(8)
-    amps[0] = 1.0 / _SQRT2
-    amps[7] = -1.0 / _SQRT2
-    return PureState(amps)
+    """Three-site state: (up-up-up minus down-down-down) / sqrt(2); one shared object."""
+    return _GHZ
 
 
 def maximally_mixed() -> DensityMatrix:
-    """Single-site state with probability 1/2 for either outcome along every axis."""
-    return DensityMatrix(0.5 * np.eye(2))
+    """Single-site state with probability 1/2 for either outcome along every axis;
+    one shared object."""
+    return _MAXIMALLY_MIXED
 
 
 def partial_trace(state: PureState, keep_site: int) -> DensityMatrix:
@@ -233,8 +240,7 @@ def joint_outcome_prob(
         axis, outcome = axes[k], outcomes[k]
         if axis is None:
             continue
-        plus, minus = axis_eigenstates(axis)
-        eigvec = plus.amplitudes if outcome == 1 else minus.amplitudes
+        eigvec = axis.basis[:, 0 if outcome == 1 else 1]
         tensor = np.tensordot(eigvec.conj(), tensor, axes=([0], [k]))
     return float(np.sum(np.abs(tensor) ** 2))
 
@@ -272,8 +278,7 @@ def sequential_measure_prob(
     for axis, sign in steps:
         if sign not in (1, -1):
             raise ValueError("outcome signs must be +1 or -1")
-        plus, minus = axis_eigenstates(axis)
-        eigvec = plus.amplitudes if sign == 1 else minus.amplitudes
+        eigvec = axis.basis[:, 0 if sign == 1 else 1]
         prob = float(np.real(np.vdot(eigvec, rho @ eigvec)))
         if prob <= 0.0:
             return 0.0
@@ -289,12 +294,9 @@ def singlet_invariance_residual(axis: MeasurementAxis) -> float:
 
     Zero for every axis under the half-angle phase convention used here.
     """
-    plus, minus = axis_eigenstates(axis)
-    rewritten = (
-        np.kron(plus.amplitudes, minus.amplitudes)
-        - np.kron(minus.amplitudes, plus.amplitudes)
-    ) / _SQRT2
-    return float(np.linalg.norm(singlet_state().amplitudes - rewritten))
+    plus, minus = axis.basis.T
+    rewritten = (np.kron(plus, minus) - np.kron(minus, plus)) / _SQRT2
+    return float(np.linalg.norm(_SINGLET.amplitudes - rewritten))
 
 
 class AxisDistributions(NamedTuple):

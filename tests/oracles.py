@@ -1,7 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 closed_form_sequential is the textbook formula for the sequential
-measurements.  bell_sweep_records is bellbox's earlier sweep, which built
+measurements.  axis_eigenvectors and joint_outcome_prob are bellbox's
+earlier Born rule, which rebuilt an axis's eigenvectors on every call; the
+axis's stored eigenbasis and quantum.joint_outcome_prob must give the same
+bits, since reports print their residues.  bell_sweep_records is bellbox's earlier sweep, which built
 each field over the whole grid and then copied them into records;
 quantum_bell_sweep fills its records a block of rows at a time and must
 give the same bytes.  The render_* functions are bellbox's earlier per-row
@@ -28,6 +31,31 @@ def closed_form_sequential(theta1: float, theta2: float) -> tuple[float, float]:
         0.5 * math.sin(theta1 / 2.0) ** 2 * shared,
         0.5 * math.sin(theta2 / 2.0) ** 2 * shared,
     )
+
+
+def axis_eigenvectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The +1 and -1 eigenvectors of the spin component along (theta, phi),
+    with the half-angle phases."""
+    half = 0.5 * theta
+    up_phase = complex(math.cos(0.5 * phi), -math.sin(0.5 * phi))
+    down_phase = up_phase.conjugate()
+    plus = np.array([up_phase * math.cos(half), down_phase * math.sin(half)])
+    minus = np.array([-up_phase * math.sin(half), down_phase * math.cos(half)])
+    return plus, minus
+
+
+def joint_outcome_prob(amplitudes: np.ndarray, angles, outcomes) -> float:
+    """Born probability of the outcome signs, one (theta, phi) pair or None
+    (unmeasured) per site, contracting the last measured site first."""
+    num_sites = amplitudes.shape[0].bit_length() - 1
+    tensor = amplitudes.reshape((2,) * num_sites)
+    for k in range(num_sites - 1, -1, -1):
+        if angles[k] is None:
+            continue
+        plus, minus = axis_eigenvectors(*angles[k])
+        eigvec = plus if outcomes[k] == 1 else minus
+        tensor = np.tensordot(eigvec.conj(), tensor, axes=([0], [k]))
+    return float(np.sum(np.abs(tensor) ** 2))
 
 
 def bell_sweep_records(

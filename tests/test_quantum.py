@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+
+import oracles
 
 from bellbox.quantum import (
     ATOL,
@@ -44,6 +46,19 @@ def spin_matrix(theta, phi):
         + math.sin(theta) * math.sin(phi) * SY
         + math.cos(theta) * SZ
     )
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def states(draw):
+    """A normalized state of 1 to 3 sites, with any complex amplitudes."""
+    size = 2 ** draw(st.integers(1, 3))
+    parts = np.array(draw(st.lists(st.floats(-1, 1), min_size=2 * size, max_size=2 * size)))
+    amps = parts[:size] + 1j * parts[size:]
+    assume(np.linalg.norm(amps) > 1e-3)
+    return PureState(amps / np.linalg.norm(amps))
 
 
 def random_axis(rng):
@@ -141,6 +156,61 @@ class TestEigenstates:
             assert np.allclose(op @ plus.amplitudes, plus.amplitudes, atol=1e-12)
             assert np.allclose(op @ minus.amplitudes, -minus.amplitudes, atol=1e-12)
             assert abs(np.vdot(plus.amplitudes, minus.amplitudes)) < 1e-12
+
+
+class TestEigenbasisOracle:
+    """The stored eigenbasis and the Born rule give the bits of the earlier
+    per-call formula: ghz-parity and state-report print residues near 1e-32."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(FINITE, FINITE)
+    def test_basis_columns_equal_the_formula(self, theta, phi):
+        axis = MeasurementAxis(theta, phi)
+        plus, minus = oracles.axis_eigenvectors(axis.theta, axis.phi)
+        assert axis.basis[:, 0].tobytes() == plus.tobytes()
+        assert axis.basis[:, 1].tobytes() == minus.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(states(), st.lists(st.none() | st.tuples(FINITE, FINITE), min_size=3, max_size=3))
+    @example(ghz_state(), [(math.pi / 2, 0.0), (math.pi / 2, math.pi / 2), (math.pi / 2, math.pi / 2)])
+    @example(singlet_state(), [(0.0, 0.0), (math.pi / 3, 0.0), None])
+    def test_joint_outcome_prob_equals_the_oracle(self, state, angles):
+        axes = [None if a is None else MeasurementAxis(*a) for a in angles[: state.num_sites]]
+        canonical = [None if a is None else (a.theta, a.phi) for a in axes]
+        for outcomes in itertools.product(*[(1, -1) if a else (None,) for a in axes]):
+            assert joint_outcome_prob(state, axes, outcomes) == oracles.joint_outcome_prob(
+                state.amplitudes, canonical, outcomes)
+
+
+class TestSharedStates:
+    @pytest.mark.parametrize("make", [singlet_state, ghz_state, maximally_mixed])
+    def test_one_object(self, make):
+        assert make() is make()
+
+    @pytest.mark.parametrize("array", [
+        singlet_state().amplitudes,
+        ghz_state().amplitudes,
+        maximally_mixed().entries,
+        X_AXIS.basis,
+        MeasurementAxis(1.234, 5.678).basis,
+    ], ids=["singlet", "ghz", "mixed", "x-axis", "axis"])
+    def test_writes_raise(self, array):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+    def test_measurement_leaves_the_bytes_unchanged(self):
+        shared = [singlet_state().amplitudes, ghz_state().amplitudes,
+                  maximally_mixed().entries, Y_AXIS.basis]
+        before = [a.tobytes() for a in shared]
+        axes = (X_AXIS, Y_AXIS, MeasurementAxis(1.234, 5.678))
+        for state in (singlet_state(), ghz_state()):
+            for outcomes in itertools.product((1, -1), repeat=state.num_sites):
+                joint_outcome_prob(state, axes[: state.num_sites], outcomes)
+            for site in range(1, state.num_sites + 1):
+                rho = partial_trace(state, site)
+                sequential_measure_prob(rho, [(a, 1) for a in axes])
+        sequential_measure_prob(maximally_mixed(), [(a, -1) for a in axes])
+        assert [a.tobytes() for a in shared] == before
 
 
 class TestStates:
