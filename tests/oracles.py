@@ -4,10 +4,10 @@ closed_form_sequential is the textbook formula for the sequential
 measurements.  axis_eigenvectors and joint_outcome_prob are bellbox's
 earlier Born rule, which rebuilt an axis's eigenvectors on every call; the
 axis's stored eigenbasis and quantum.joint_outcome_prob must give the same
-bits, since reports print their residues.  bell_sweep_records is bellbox's earlier sweep, which built
-each field over the whole grid and then copied them into records;
-quantum_bell_sweep fills its records a block of rows at a time and must
-give the same bytes.  The render_* functions are bellbox's earlier per-row
+bits, since reports print their residues.  bell_sweep_records is
+bellbox's earlier sweep, which built each field over the whole grid and
+then copied them into records; quantum_bell_sweep fills its records a
+block of rows at a time and must give the same bytes.  The render_* functions are bellbox's earlier per-row
 renderers: csv.writer for CSV, one %-template per row for the text table
 and for the JSON rows of a Table inside results.  cli renders whole blocks
 of rows at a time and must write the same bytes."""
