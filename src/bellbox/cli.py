@@ -550,20 +550,44 @@ def _is_column(column, dtype) -> bool:
     return isinstance(column, np.ndarray) and column.dtype == dtype
 
 
+def _rounding_keys(values: np.ndarray) -> np.ndarray:
+    """Each float64 value's magnitude rounded to 12 significant digits, with
+    its sign, as one float key, or NaN where the key is not sure.
+
+    With e = floor(log10|x|), the key holds e and rint(|x| * 10**(11 - e)).
+    The product is off by a few ulp, under 3e-4 of the 12th digit, so the
+    key is the correctly rounded decimal, and equal keys have one text,
+    unless the product is within 1e-3 of a .5 tie or outside [1e11, 1e12),
+    or x is 0, not finite, at most 1e-290 or at least 1e290."""
+    magnitude = np.abs(values)
+    sure = (magnitude > 1e-290) & (magnitude < 1e290)
+    magnitude = np.where(sure, magnitude, 1.0)
+    e = np.floor(np.log10(magnitude))
+    scaled = magnitude * 10.0 ** (11 - e)
+    digits = np.rint(scaled)
+    sure &= (scaled >= 1e11) & (scaled < 1e12) & (np.abs(scaled - digits) < 0.499)
+    return np.where(sure, np.copysign((e + 300) * 1e12 + digits, values), np.nan)
+
+
 def _distinct_cells(column, final=list) -> tuple[list[str], np.ndarray]:
     """The cell texts of one Table column, as _cell writes them, each once
     for a float64 or bool column, passed through final (texts to the list of
     the format's texts), and the index of each row's text, as int32: a sweep
     has at most MAX_SWEEP_POINTS rows.
 
-    Values are formatted once each, a block at a time, sorted by their bits,
-    which keeps -0.0 and 0.0 apart.  Values that round to one text are then
-    neighbours (NaNs are made one NaN first), so a text is new where it
-    differs from the one before: the 0.5 degree sweep's bell_gap has 91,118
-    values in 130,321 rows but 43,420 texts (1 degree: 22,824 and 10,896)."""
+    Distinct values are taken a block at a time, sorted by their bits, which
+    keeps -0.0 and 0.0 apart.  Values that round to one text are then
+    neighbours (NaNs are made one NaN first).  float64 values are grouped by
+    their 12-digit rounding first (_rounding_keys), and only the first value
+    of a group, or one whose key is not sure, is formatted: about once a
+    text.  A text is new where it differs from the one before, which also
+    joins groups of one text, such as 9.999999999995e-3's and 0.01's.  The
+    0.5 degree sweep's bell_gap has 91,118 values in 130,321 rows but 43,420
+    texts, from 43,521 calls (1 degree: 22,824, 10,896 and 10,919)."""
     if not (_is_column(column, np.float64) or _is_column(column, np.bool_)):
         return final(map(_cell, column)), np.arange(len(column), dtype=np.int32)
-    cell = _number_text if column.dtype == np.float64 else _cell
+    floats = column.dtype == np.float64
+    cell = _number_text if floats else _cell
     if np.isnan(column).any():
         column = np.where(np.isnan(column), np.nan, column)
     bits = column.view(f"i{column.itemsize}").flatten()
@@ -574,11 +598,22 @@ def _distinct_cells(column, final=list) -> tuple[list[str], np.ndarray]:
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     bits = bits[starts]
-    texts, last = [], ""
+    texts, last, key = [], "", np.nan
     for start in range(0, len(bits), _BLOCK_ROWS):
-        block = list(map(cell, bits[start:start + _BLOCK_ROWS].view(column.dtype).tolist()))
+        values = bits[start:start + _BLOCK_ROWS].view(column.dtype)
+        # formatted where a key differs from the one before (NaN != NaN),
+        # then marked where a text does
+        formatted = np.ones(len(values), dtype=bool)
+        if floats:
+            keys = _rounding_keys(values)
+            np.not_equal(keys[1:], keys[:-1], out=formatted[1:])
+            formatted[0] = keys[0] != key
+            key = keys[-1]
+        at = np.flatnonzero(formatted)
+        block = list(map(cell, values[at].tolist()))
         changed = list(map(operator.ne, block, [last, *block]))
-        first[starts[start:start + len(block)]] = changed
+        formatted[at] = changed
+        first[starts[start:start + len(values)]] = formatted
         texts += final(itertools.compress(block, changed))
         last = block[-1]
     index = np.empty(len(column), dtype=np.int32)
@@ -586,12 +621,24 @@ def _distinct_cells(column, final=list) -> tuple[list[str], np.ndarray]:
     return texts, index
 
 
+def _json_number(text: str) -> str:
+    """json.dumps(float(text)) for a _number_text text of a finite float.
+
+    A text without an exponent is a normal float of at most 12 significant
+    digits, so its shortest repr has the same digits, in fixed point too,
+    with ".0" after a whole number.  Subnormals and values of 1e12 or more
+    have an exponent in their text and take repr."""
+    if "e" in text:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
+
+
 def _json_cells(column, before: str, after: str) -> tuple[np.ndarray, np.ndarray]:
     """The JSON text of each value in one Table column, as json.dumps writes
     _jsonify's copy of it, between before and after: the distinct texts and
     each row's index into them; finite float64 and bool columns only."""
     if _is_column(column, np.float64) and np.isfinite(column).all():
-        final = lambda texts: [f"{before}{float(t)!r}{after}" for t in texts]
+        final = lambda texts: [f"{before}{_json_number(t)}{after}" for t in texts]
     elif _is_column(column, np.bool_):
         final = lambda texts: [before + t + after for t in texts]
     else:
