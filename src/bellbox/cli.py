@@ -74,7 +74,9 @@ class Table:
     objects keyed by its header; its columns must be finite float64 or bool.
 
     columns holds one sequence per header entry, all of one length; each
-    distinct value of a float64 or bool array is formatted once.  covers
+    distinct value of a float64 or bool array is formatted once.  A column
+    may be coded (_Coded): its values, each formatted once, and each row's
+    code into them, as a sweep holds a column that reads one axis.  covers
     lists the top-level results keys the table already presents, so the
     text format does not repeat them as scalar lines.
     """
@@ -90,6 +92,18 @@ class Table:
 
     def __len__(self) -> int:
         return len(self.columns[0]) if self.columns else 0
+
+
+@dataclass(frozen=True, eq=False)
+class _Coded:
+    """A Table column whose row i holds values[codes[i]]: a numpy array of
+    values, each used by some row, and an int32 array of codes."""
+
+    values: np.ndarray
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
 @dataclass(frozen=True)
@@ -253,15 +267,15 @@ def parse_args(argv=None) -> RunConfig:
     return config
 
 
-def _bell_fields(points, theta1_deg, theta2_deg) -> tuple:
-    """BELL_POINT_KEYS values: the angles given, the rest read from a BellPoint or records."""
-    return (theta1_deg, theta2_deg, points.p_q_AB, points.p_q_BC, points.p_q_AC,
-            points.bell_gap, points.violated)
+def _bell_fields(points, theta1_deg, theta2_deg, p_ab, p_ac) -> tuple:
+    """BELL_POINT_KEYS values: those that read one angle given, the rest read
+    from a BellPoint or records."""
+    return (theta1_deg, theta2_deg, p_ab, points.p_q_BC, p_ac, points.bell_gap, points.violated)
 
 
 def _cmd_singlet_bell(config: RunConfig):
     point = experiments.quantum_bell_point(config.theta1, config.theta2)
-    row = _bell_fields(point, config.theta1_deg, config.theta2_deg)
+    row = _bell_fields(point, config.theta1_deg, config.theta2_deg, point.p_q_AB, point.p_q_AC)
     results = dict(zip(BELL_POINT_KEYS, row))
     if config.samples is not None:
         estimates = experiments.mc_bell_estimate(
@@ -283,8 +297,19 @@ def _cmd_singlet_bell(config: RunConfig):
 def _cmd_bell_sweep(config: RunConfig):
     sweep = experiments.quantum_bell_sweep(math.radians(config.grid_step_deg))
     points = sweep.points
+    grid = points.reshape(sweep.shape)
+    # the fields that read one angle are coded by that angle's grid index
+    count1, count2 = sweep.shape
+    by_theta1 = np.repeat(np.arange(count1, dtype=np.int32), count2)
+    by_theta2 = np.tile(np.arange(count2, dtype=np.int32), count1)
     # np.degrees rounds exactly as math.degrees does
-    columns = _bell_fields(points, np.degrees(points.theta1), np.degrees(points.theta2))
+    columns = _bell_fields(
+        points,
+        _Coded(np.degrees(grid.theta1[:, 0]), by_theta1),
+        _Coded(np.degrees(grid.theta2[0]), by_theta2),
+        _Coded(grid.p_q_AB[:, 0], by_theta1),
+        _Coded(grid.p_q_AC[0], by_theta2),
+    )
     results = {
         "grid_step_deg": config.grid_step_deg,
         "point_count": len(points),
@@ -583,7 +608,14 @@ def _distinct_cells(column, final=list) -> tuple[list[str], np.ndarray]:
     text.  A text is new where it differs from the one before, which also
     joins groups of one text, such as 9.999999999995e-3's and 0.01's.  The
     0.5 degree sweep's bell_gap has 91,118 values in 130,321 rows but 43,420
-    texts, from 43,521 calls (1 degree: 22,824, 10,896 and 10,919)."""
+    texts, from 43,521 calls (1 degree: 22,824, 10,896 and 10,919).
+
+    A coded column's texts are those of its values, one per value (so a
+    text may repeat), and its codes are the row index: no array per row is
+    made, and the caller must not write into the index."""
+    if isinstance(column, _Coded):
+        texts, index = _distinct_cells(column.values, final)
+        return [texts[i] for i in index.tolist()], column.codes
     if not (_is_column(column, np.float64) or _is_column(column, np.bool_)):
         return final(map(_cell, column)), np.arange(len(column), dtype=np.int32)
     floats = column.dtype == np.float64
@@ -636,10 +668,12 @@ def _json_number(text: str) -> str:
 def _json_cells(column, before: str, after: str) -> tuple[np.ndarray, np.ndarray]:
     """The JSON text of each value in one Table column, as json.dumps writes
     _jsonify's copy of it, between before and after: the distinct texts and
-    each row's index into them; finite float64 and bool columns only."""
-    if _is_column(column, np.float64) and np.isfinite(column).all():
+    each row's index into them; finite float64 and bool columns only, or
+    coded columns of such values."""
+    values = column.values if isinstance(column, _Coded) else column
+    if _is_column(values, np.float64) and np.isfinite(values).all():
         final = lambda texts: [f"{before}{_json_number(t)}{after}" for t in texts]
-    elif _is_column(column, np.bool_):
+    elif _is_column(values, np.bool_):
         final = lambda texts: [before + t + after for t in texts]
     else:
         raise TypeError("a Table inside results needs finite float64 or bool columns")
@@ -787,14 +821,16 @@ def _text_table(table: Table):
     # row's index points past the padded texts, to the cut ones.  In the
     # last column every row is one: it has only cut texts, with the line end.
     ends_here = np.ones(len(table), dtype=bool)
-    for j in reversed(range(len(distinct))):
-        texts, index = distinct[j]
-        lead, end = "  " if j else "", "\n" if j == len(distinct) - 1 else ""
+    for j in reversed(range(len(header))):
+        # popped, so a column's bare texts go once its own are built
+        texts, index = distinct.pop()
+        lead, end = "  " if j else "", "\n" if j == len(header) - 1 else ""
         padded = [] if end else [lead + t.ljust(widths[j]) for t in texts]
         if ends_here.any():
             cut = [(lead + t).rstrip() + end for t in texts]
             blank = np.array([c == end for c in cut], dtype=bool)[index]
-            index[ends_here] += len(padded)
+            # a new array: a coded column's index is its codes
+            index = np.where(ends_here, index + len(padded), index)
             ends_here &= blank
             padded += cut
         columns.append((np.array(padded, dtype=object), index))

@@ -76,7 +76,8 @@ def _pair_axes(theta1: float, theta2: float) -> dict[str, tuple[MeasurementAxis,
 
 def _closed_form_probs(theta1, theta2):
     """(p_AB, p_BC, p_AC) from the closed forms; angles may be floats or
-    arrays of one shape."""
+    arrays that broadcast together.  p_AB reads theta1 alone and p_AC theta2
+    alone, so each takes its angle's shape."""
     return (
         0.5 * np.sin(theta1 / 2.0) ** 2,
         0.5 * np.sin((theta2 - theta1) / 2.0) ** 2,
@@ -150,10 +151,12 @@ def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
 @dataclass(frozen=True, eq=False)
 class BellSweep:
     """Grid of points, as a record array of BELL_POINT_DTYPE in grid order,
-    with the most negative gap singled out."""
+    with the most negative gap singled out.  shape is (theta1 count, theta2
+    count): points.reshape(shape) is the grid, theta1 along axis 0."""
 
     step: float
     points: np.recarray
+    shape: tuple[int, int]
     minimum: BellPoint
 
     @property
@@ -227,12 +230,15 @@ def quantum_bell_sweep(
     points = np.recarray(len(t1) * len(t2), dtype=BELL_POINT_DTYPE)
     # whole theta1 rows at a time, so no temporary spans the grid
     rows = max(1, _BLOCK_ROWS // len(t2))
+    # p_AB is computed once per theta1 and p_AC once per theta2, and the
+    # block's fields broadcast them: the same operations on the same values
+    g2 = t2[None, :]
     for start in range(0, len(t1), rows):
-        g1, g2 = np.meshgrid(t1[start:start + rows], t2, indexing="ij")
+        g1 = t1[start:start + rows, None]
         probs = _closed_form_probs(g1, g2)
-        block = points[start * len(t2):(start + rows) * len(t2)]
+        block = points[start * len(t2):(start + rows) * len(t2)].reshape(-1, len(t2))
         for name, values in zip(block.dtype.names, (g1, g2, *probs, *_gap_and_flag(*probs))):
-            block[name] = values.reshape(-1)
+            block[name] = values
         try:
             _check_bell_fields(block)
         except ValueError as exc:
@@ -240,7 +246,7 @@ def quantum_bell_sweep(
     # the checks above hold only while the records stay as computed
     points.flags.writeable = False
     minimum = BellPoint(*points[int(np.argmin(points.bell_gap))].tolist())
-    return BellSweep(step=step, points=points, minimum=minimum)
+    return BellSweep(step=step, points=points, shape=(len(t1), len(t2)), minimum=minimum)
 
 
 @dataclass(frozen=True)

@@ -466,11 +466,17 @@ BLOCK = cli._BLOCK_ROWS
 AWKWARD = ("a,b", 'say "hi"', "", "two\nlines", "tab\t", "pad  ", " ", "plain")
 
 
+def _expanded(column):
+    """A Table column with one value a row: a coded column's values[codes]."""
+    return column.values[column.codes] if isinstance(column, cli._Coded) else column
+
+
 def _sweep_env(rows: int) -> cli.ReportEnvelope:
     """A bell-sweep report cut or repeated to rows points; its CSV and text
-    table has one more column, of AWKWARD strings."""
+    table has one more column, of AWKWARD strings.  Coded columns are
+    expanded to one value a row first."""
     env = run(parse_args(["bell-sweep", "--grid-step", "15"]))
-    columns = tuple(np.resize(column, rows) for column in env.table.columns)
+    columns = tuple(np.resize(_expanded(column), rows) for column in env.table.columns)
     notes = tuple(AWKWARD[i % len(AWKWARD)] for i in range(rows))
     results = dict(env.results, points=cli.Table(cli.BELL_POINT_KEYS, columns))
     table = cli.Table(env.table.header + ("note",), columns + (notes,), env.table.covers)
@@ -576,6 +582,74 @@ def test_distinct_cells_keeps_each_text_once(column):
     texts, index = cli._distinct_cells(column)
     assert len(set(texts)) == len(texts)
     assert [texts[i] for i in index] == [cli._cell(v) for v in column]
+
+
+@st.composite
+def coded_columns(draw, rows, finite=True):
+    """A coded float64 column of rows rows: near-duplicate values, each used
+    by at least one row."""
+    values = draw(st.integers(min(rows, 1), min(rows, 40)).flatmap(
+        lambda size: near_duplicate_columns(size, finite)))
+    extra = [draw(st.integers(0, len(values) - 1)) for _ in range(rows - len(values))]
+    codes = draw(st.permutations(extra + list(range(len(values)))))
+    return cli._Coded(values, np.array(codes, dtype=np.int32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80).flatmap(lambda rows: coded_columns(rows, finite=False)))
+def test_coded_column_cells_are_those_of_its_rows(column):
+    texts, index = cli._distinct_cells(column)
+    want_texts, want_index = cli._distinct_cells(column.values[column.codes])
+    # one text per value, and the codes themselves as the row index
+    assert len(texts) == len(column.values)
+    assert index is column.codes
+    assert set(texts) == set(want_texts)
+    assert [texts[i] for i in index] == [want_texts[i] for i in want_index]
+
+
+@st.composite
+def coded_tables(draw):
+    """(coded columns of one length and a column of AWKWARD notes of that
+    length): blank notes make lines end inside a coded column."""
+    rows = draw(st.integers(0, 30))
+    columns = [draw(coded_columns(rows)) for _ in range(draw(st.integers(1, 3)))]
+    return columns, tuple(draw(st.lists(st.sampled_from(AWKWARD), min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coded_tables())
+def test_coded_columns_render_as_their_rows(drawn):
+    columns, notes = drawn
+
+    def env_of(columns):
+        points = cli.Table(tuple(f"c{j}" for j in range(len(columns))), tuple(columns))
+        table = cli.Table(points.header + ("note",), points.columns + (notes,), ("points",))
+        return _envelope({"points": points}, table)
+
+    codes = [column.codes.copy() for column in columns]
+    expanded = env_of([_expanded(column) for column in columns])
+    for fmt in sorted(RENDERERS):
+        assert render(env_of(columns), fmt) == RENDERERS[fmt](expanded)
+    # rendering leaves the codes, which it uses as row indexes, as they were
+    assert all(map(np.array_equal, codes, (column.codes for column in columns)))
+
+
+@pytest.mark.parametrize("step", ["15", "1", "0.5"])
+def test_sweep_axis_columns_are_coded_by_axis(step):
+    sweep = experiments.quantum_bell_sweep(math.radians(float(step)))
+    points, per_axis = sweep.points, round(180 / float(step)) + 1
+    columns = dict(zip(cli.BELL_POINT_KEYS, run(parse_args(["bell-sweep", "--grid-step", step]))
+                       .table.columns))
+    replaced = {"theta1_deg": np.degrees(points.theta1), "theta2_deg": np.degrees(points.theta2),
+                "p_q_ab": points.p_q_AB, "p_q_ac": points.p_q_AC}
+    for key, column in columns.items():
+        if key not in replaced:
+            assert isinstance(column, np.ndarray), key
+            continue
+        assert isinstance(column, cli._Coded), key
+        assert column.codes.dtype == np.int32
+        assert len(column.values) == per_axis == len(np.unique(column.codes)), key
+        assert column.values[column.codes].tobytes() == replaced[key].tobytes(), key
 
 
 def test_distinct_cells_joins_texts_across_a_block_edge():

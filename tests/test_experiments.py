@@ -239,8 +239,16 @@ class TestBellSweep:
         ranges = (lo1, lo1 + steps1 * step), (lo2, lo2 + steps2 * step)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_BLOCK_ROWS", block)
-            points = quantum_bell_sweep(step, *ranges).points
+            sweep = quantum_bell_sweep(step, *ranges)
+        points, shape = sweep.points, sweep.shape
         assert points.tobytes() == bell_sweep_records(step, *ranges).tobytes()
+        # the cli codes each one-angle field by its axis: the field must not
+        # vary, bit for bit, along the other axis
+        assert len(points) == shape[0] * shape[1]
+        grid = points.reshape(shape)
+        for name, axis in (("theta1", 1), ("p_q_AB", 1), ("theta2", 0), ("p_q_AC", 0)):
+            bits = getattr(grid, name).view(np.int64)
+            assert (bits == (bits[:, :1] if axis else bits[:1])).all(), name
 
     @pytest.mark.parametrize("step_deg", [1.0, 0.5, 0.3])
     def test_records_match_the_whole_grid_oracle_at_full_blocks(self, step_deg):
