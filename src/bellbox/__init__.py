@@ -26,7 +26,6 @@ from .quantum import (
 from .lhv import (
     AttributeTriple,
     SingletBoxing,
-    UnconstrainedBoxing,
     GhzBoxing,
     Ensemble,
     VennCounts,

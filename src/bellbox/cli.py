@@ -74,7 +74,8 @@ class Table:
     objects keyed by its header; its columns must be finite float64 or bool.
 
     columns holds one sequence per header entry, all of one length; each
-    distinct value of a float64 or bool array is formatted once.  A column
+    distinct value of a float64 or bool array is formatted once per render
+    block (_RENDER_ROWS rows) it appears in.  A column
     may be coded (_Coded): its values, each formatted once, and each row's
     code into them, as a sweep holds a column that reads one axis.  covers
     lists the top-level results keys the table already presents, so the
@@ -154,6 +155,8 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    # each command's parser, which reports the errors parse_args finds later
+    parser.commands = sub.choices
 
     p = sub.add_parser("singlet-bell", help="coincidence probabilities and the "
                        "inequality gap for the two-spin state at one angle pair")
@@ -239,6 +242,7 @@ def parse_args(argv=None) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(_join_negative_floats(sys.argv[1:] if argv is None else list(argv)))
     config = RunConfig(**vars(ns))
+    parser = parser.commands[config.command]
     samples, grid_step = config.samples, config.grid_step_deg
     angles = (config.theta1_deg, config.theta2_deg)
     if not all(math.isfinite(theta) for theta in angles if theta is not None):
@@ -267,15 +271,17 @@ def parse_args(argv=None) -> RunConfig:
     return config
 
 
-def _bell_fields(points, theta1_deg, theta2_deg, p_ab, p_ac) -> tuple:
-    """BELL_POINT_KEYS values: those that read one angle given, the rest read
-    from a BellPoint or records."""
-    return (theta1_deg, theta2_deg, p_ab, points.p_q_BC, p_ac, points.bell_gap, points.violated)
+def _bell_fields(fields, theta1_deg, theta2_deg, p_ab, p_ac) -> tuple:
+    """BELL_POINT_KEYS values: those that read one angle given, the rest
+    looked up by BellPoint field name in fields."""
+    return (theta1_deg, theta2_deg, p_ab, fields["p_q_BC"], p_ac, fields["bell_gap"],
+            fields["violated"])
 
 
 def _cmd_singlet_bell(config: RunConfig):
     point = experiments.quantum_bell_point(config.theta1, config.theta2)
-    row = _bell_fields(point, config.theta1_deg, config.theta2_deg, point.p_q_AB, point.p_q_AC)
+    row = _bell_fields(vars(point), config.theta1_deg, config.theta2_deg, point.p_q_AB,
+                       point.p_q_AC)
     results = dict(zip(BELL_POINT_KEYS, row))
     if config.samples is not None:
         estimates = experiments.mc_bell_estimate(
@@ -295,27 +301,38 @@ def _cmd_singlet_bell(config: RunConfig):
 
 
 def _cmd_bell_sweep(config: RunConfig):
-    sweep = experiments.quantum_bell_sweep(math.radians(config.grid_step_deg))
-    points = sweep.points
-    grid = points.reshape(sweep.shape)
+    step = math.radians(config.grid_step_deg)
+    count = experiments._sweep_point_count(step)
+    dtype = experiments.BELL_POINT_DTYPE
+    # of each record, only the fields that read both angles are held: 17 bytes
+    names = ["p_q_BC", "bell_gap", "violated"]
+    held = np.empty(count, dtype=[(name, dtype[name]) for name in names])
+    firsts, start = [], 0
+    for block, least in experiments._bell_blocks(step):
+        held[start:start + block.size] = block.reshape(-1)[names]
+        start += block.size
+        firsts.append(block[:, 0].copy())
+    # theta1 and p_AB from each row's first record, theta2 and p_AC from a row
+    by_row, by_column = np.concatenate(firsts), block[0]
+    minimum = experiments.BellPoint(*least.tolist())
     # the fields that read one angle are coded by that angle's grid index
-    count1, count2 = sweep.shape
+    count1, count2 = len(by_row), len(by_column)
     by_theta1 = np.repeat(np.arange(count1, dtype=np.int32), count2)
     by_theta2 = np.tile(np.arange(count2, dtype=np.int32), count1)
     # np.degrees rounds exactly as math.degrees does
     columns = _bell_fields(
-        points,
-        _Coded(np.degrees(grid.theta1[:, 0]), by_theta1),
-        _Coded(np.degrees(grid.theta2[0]), by_theta2),
-        _Coded(grid.p_q_AB[:, 0], by_theta1),
-        _Coded(grid.p_q_AC[0], by_theta2),
+        held,
+        _Coded(np.degrees(by_row["theta1"]), by_theta1),
+        _Coded(np.degrees(by_column["theta2"]), by_theta2),
+        _Coded(by_row["p_q_AB"], by_theta1),
+        _Coded(by_column["p_q_AC"], by_theta2),
     )
     results = {
         "grid_step_deg": config.grid_step_deg,
-        "point_count": len(points),
-        "min_gap": sweep.min_gap,
-        "argmin_theta1_deg": math.degrees(sweep.minimum.theta1),
-        "argmin_theta2_deg": math.degrees(sweep.minimum.theta2),
+        "point_count": count,
+        "min_gap": minimum.bell_gap,
+        "argmin_theta1_deg": math.degrees(minimum.theta1),
+        "argmin_theta2_deg": math.degrees(minimum.theta2),
         "points": Table(BELL_POINT_KEYS, columns),
     }
     table = Table(BELL_ROW_HEADER, columns, covers=("points",))
@@ -701,6 +718,28 @@ def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray]]):
         yield "".join(rows.ravel().tolist())
 
 
+# Rows whose cell texts a renderer builds and holds at a time, in every
+# format: a table of more rows is rendered one such block after another, so
+# its cell texts never span it.  The 1 and 0.5 degree sweeps (32,761 and
+# 130,321 rows) are one block each.
+_RENDER_ROWS = 2**17
+
+
+def _table_rows(table: Table, cells, rows=_row_blocks):
+    """The rows of a table as text chunks, a render block of _RENDER_ROWS
+    rows at a time: rows(block) of the list of cells(j, part) of each column
+    j, part being the column's rows in the block (a coded column keeps all
+    its values and cuts its codes).  Each block is handed straight to rows,
+    so its texts are dropped before the next block's are built."""
+    for start in range(0, len(table), _RENDER_ROWS):
+        part = slice(start, start + _RENDER_ROWS)
+        yield from rows([
+            cells(j, _Coded(column.values, column.codes[part])
+                  if isinstance(column, _Coded) else column[part])
+            for j, column in enumerate(table.columns)
+        ])
+
+
 def _json_rows(table: Table, indent: str):
     """The table as json.dumps(indent=2) writes a list of objects whose
     opening line is indented by indent, in chunks."""
@@ -709,15 +748,14 @@ def _json_rows(table: Table, indent: str):
         return
     inner = indent + "  "
     keys = [json.dumps(key) + ": " for key in table.header]
-    befores = [inner + "{\n" + inner + "  " + keys[0]]
+    # each row opens with the comma after the row before; the first with "["
+    befores = [",\n" + inner + "{\n" + inner + "  " + keys[0]]
     befores += [",\n" + inner + "  " + key for key in keys[1:]]
-    afters = [""] * (len(keys) - 1) + ["\n" + inner + "},\n"]
-    columns = [_json_cells(*c) for c in zip(table.columns, befores, afters)]
-    yield "[\n"
-    yield from _row_blocks([(t, i[:-1]) for t, i in columns])
-    # every row but the last is followed by a comma
-    last = "".join(t[i[-1]] for t, i in columns)
-    yield last[: -len(",\n")] + "\n" + indent + "]"
+    afters = [""] * (len(keys) - 1) + ["\n" + inner + "}"]
+    chunks = _table_rows(table, lambda j, rows: _json_cells(rows, befores[j], afters[j]))
+    yield "[" + next(chunks)[1:]
+    yield from chunks
+    yield "\n" + indent + "]"
 
 
 def _flatten_leaves(value, prefix: str = ""):
@@ -777,14 +815,16 @@ def _render_csv(env: ReportEnvelope):
     """The CSV text of the table: the header line, then the rows in blocks."""
     table = env.table
     alone = len(table.header) == 1
-    columns = []
-    for j, column in enumerate(table.columns):
-        before, after = "," if j else "", "\n" if j == len(table.columns) - 1 else ""
+    last = len(table.header) - 1
+
+    def cells(j, rows):
+        before, after = "," if j else "", "\n" if j == last else ""
         texts, index = _distinct_cells(
-            column, lambda ts: [before + _csv_field(t, alone) + after for t in ts])
-        columns.append((np.array(texts, dtype=object), index))
+            rows, lambda ts: [before + _csv_field(t, alone) + after for t in ts])
+        return np.array(texts, dtype=object), index
+
     yield ",".join(_csv_field(str(h), alone) for h in table.header) + "\n"
-    yield from _row_blocks(columns)
+    yield from _table_rows(table, cells)
 
 
 def _render_text(env: ReportEnvelope):
@@ -811,20 +851,40 @@ def _render_text(env: ReportEnvelope):
 def _text_table(table: Table):
     """The table as lines of text, in chunks: the header, then one line per
     row.  Each column is padded to its widest cell, columns are two spaces
-    apart, and each line loses its trailing whitespace."""
+    apart, and each line loses its trailing whitespace.
+
+    The widths come before the first row.  A table of one render block
+    takes them from its cell texts; a longer one from a first pass over its
+    blocks that keeps only each column's widest text."""
     header = [str(h) for h in table.header]
-    distinct = [_distinct_cells(column) for column in table.columns]
-    widths = [max([len(h), *map(len, texts)]) for h, (texts, _) in zip(header, distinct)]
+    widths = list(map(len, header))
+    lines = lambda block: _row_blocks(_text_cells(block, widths))
+    if len(table) <= _RENDER_ROWS:
+        block = [_distinct_cells(column) for column in table.columns]
+        widths = [max(w, max(map(len, texts), default=0)) for w, (texts, _) in zip(widths, block)]
+        body = lines(block)
+    else:
+        widest = lambda j, rows: max(map(len, _distinct_cells(rows)[0]))
+        for block_widths in _table_rows(table, widest, rows=lambda block: [block]):
+            widths = list(map(max, widths, block_widths))
+        body = _table_rows(table, lambda j, rows: _distinct_cells(rows), lines)
+    yield "  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
+    yield from body
+
+
+def _text_cells(block: list, widths: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_row_blocks' columns for one render block of the text table, from
+    each column's (texts, index), which are popped from block as used."""
     columns = []
     # rows whose cells right of the current column are all blank: the line
     # ends in this column, cut after its last non-blank character.  Such a
     # row's index points past the padded texts, to the cut ones.  In the
     # last column every row is one: it has only cut texts, with the line end.
-    ends_here = np.ones(len(table), dtype=bool)
-    for j in reversed(range(len(header))):
+    ends_here = np.ones(len(block[0][1]), dtype=bool)
+    for j in reversed(range(len(widths))):
         # popped, so a column's bare texts go once its own are built
-        texts, index = distinct.pop()
-        lead, end = "  " if j else "", "\n" if j == len(header) - 1 else ""
+        texts, index = block.pop()
+        lead, end = "  " if j else "", "\n" if j == len(widths) - 1 else ""
         padded = [] if end else [lead + t.ljust(widths[j]) for t in texts]
         if ends_here.any():
             cut = [(lead + t).rstrip() + end for t in texts]
@@ -835,8 +895,7 @@ def _text_table(table: Table):
             padded += cut
         columns.append((np.array(padded, dtype=object), index))
     columns.reverse()
-    yield "  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
-    yield from _row_blocks(columns)
+    return columns
 
 
 # the --format choices, in the order --help lists them

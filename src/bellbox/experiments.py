@@ -152,7 +152,12 @@ def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
 class BellSweep:
     """Grid of points, as a record array of BELL_POINT_DTYPE in grid order,
     with the most negative gap singled out.  shape is (theta1 count, theta2
-    count): points.reshape(shape) is the grid, theta1 along axis 0."""
+    count): points.reshape(shape) is the grid, theta1 along axis 0.
+
+    The bell-sweep report builds no BellSweep: it reads the same checked
+    blocks (_bell_blocks), holds only p_q_BC, bell_gap and violated per
+    point (17 bytes against a record's 49), and builds its cell texts a
+    render block (cli._RENDER_ROWS, 2**17 rows) at a time."""
 
     step: float
     points: np.recarray
@@ -168,13 +173,19 @@ class BellSweep:
         return (self.minimum.theta1, self.minimum.theta2)
 
 
-# Largest grid quantum_bell_sweep evaluates: a 0.1 degree grid over
-# [0, 180] squared (1801 x 1801 = 3,243,601 points) fits, 0.05 degree does not.
+# Largest grid a sweep evaluates: a 0.1 degree grid over [0, 180] squared
+# (1801 x 1801 = 3,243,601 points) fits, 0.05 degree does not.  The cap
+# bounds a report's time, not its memory: the bell-sweep report holds 25
+# bytes a point beside one render block's cell texts (at 0.1 degrees 126 to
+# 135 MiB in all, and 4 to 8 s).
 MAX_SWEEP_POINTS = 4_000_000
 _TOO_FINE = f"grid step too fine: more than {MAX_SWEEP_POINTS:,} points"
-# Grid points a sweep computes, and report rows or distinct values the cli
-# formats, at a time: enough to make the per-block cost small, few enough
-# that a block's temporaries stay far under the whole grid's.
+# Grid points a sweep computes, and report rows the cli joins into one write
+# or distinct values it formats, at a time: enough to make the per-block
+# cost small, few enough that a block's temporaries stay far under the
+# whole grid's.  The cli builds cell texts for a render block of
+# cli._RENDER_ROWS (2**17) rows at a time, and joins them these many rows
+# at a time.
 _BLOCK_ROWS = 8192
 # Most draws one Monte Carlo call makes.  A shard's draws are held as arrays
 # of about 16 bytes each: a report at the cap peaks at about 190 MB.
@@ -212,6 +223,41 @@ def _sweep_point_count(
     return count
 
 
+def _bell_blocks(
+    step: float,
+    theta1_range: tuple[float, float] = (0.0, math.pi),
+    theta2_range: tuple[float, float] = (0.0, math.pi),
+):
+    """The sweep grid in grid order, a block of whole theta1 rows (about
+    _BLOCK_ROWS points) at a time, so no temporary spans the grid.  Yields
+    each block, a checked BELL_POINT_DTYPE record array of shape (theta1
+    rows, theta2 count), with the record of least bell_gap so far: the
+    first in grid order on ties."""
+    _sweep_point_count(step, theta1_range, theta2_range)
+    t1 = _grid(*theta1_range, step)
+    t2 = _grid(*theta2_range, step)
+    rows = max(1, _BLOCK_ROWS // len(t2))
+    # p_AB is computed once per theta1 and p_AC once per theta2, and the
+    # block's fields broadcast them: the same operations on the same values
+    g2 = t2[None, :]
+    least = None
+    for start in range(0, len(t1), rows):
+        g1 = t1[start:start + rows, None]
+        probs = _closed_form_probs(g1, g2)
+        block = np.recarray((len(g1), len(t2)), dtype=BELL_POINT_DTYPE)
+        for name, values in zip(block.dtype.names, (g1, g2, *probs, *_gap_and_flag(*probs))):
+            block[name] = values
+        try:
+            _check_bell_fields(block)
+        except ValueError as exc:
+            raise PhysicsAssertionError(str(exc)) from exc
+        flat = block.reshape(-1)
+        i = int(np.argmin(flat.bell_gap))
+        if least is None or flat.bell_gap[i] < least.bell_gap:
+            least = flat[i]
+        yield block, least
+
+
 def quantum_bell_sweep(
     step: float,
     theta1_range: tuple[float, float] = (0.0, math.pi),
@@ -224,29 +270,17 @@ def quantum_bell_sweep(
     theta1-major, both angles ascending.  Ties on the minimum resolve to the
     first point in that order.
     """
-    _sweep_point_count(step, theta1_range, theta2_range)
-    t1 = _grid(*theta1_range, step)
-    t2 = _grid(*theta2_range, step)
-    points = np.recarray(len(t1) * len(t2), dtype=BELL_POINT_DTYPE)
-    # whole theta1 rows at a time, so no temporary spans the grid
-    rows = max(1, _BLOCK_ROWS // len(t2))
-    # p_AB is computed once per theta1 and p_AC once per theta2, and the
-    # block's fields broadcast them: the same operations on the same values
-    g2 = t2[None, :]
-    for start in range(0, len(t1), rows):
-        g1 = t1[start:start + rows, None]
-        probs = _closed_form_probs(g1, g2)
-        block = points[start * len(t2):(start + rows) * len(t2)].reshape(-1, len(t2))
-        for name, values in zip(block.dtype.names, (g1, g2, *probs, *_gap_and_flag(*probs))):
-            block[name] = values
-        try:
-            _check_bell_fields(block)
-        except ValueError as exc:
-            raise PhysicsAssertionError(str(exc)) from exc
-    # the checks above hold only while the records stay as computed
+    count = _sweep_point_count(step, theta1_range, theta2_range)
+    points = np.recarray(count, dtype=BELL_POINT_DTYPE)
+    start = 0
+    for block, least in _bell_blocks(step, theta1_range, theta2_range):
+        points[start:start + block.size] = block.reshape(-1)
+        start += block.size
+    # the block checks hold only while the records stay as computed
     points.flags.writeable = False
-    minimum = BellPoint(*points[int(np.argmin(points.bell_gap))].tolist())
-    return BellSweep(step=step, points=points, shape=(len(t1), len(t2)), minimum=minimum)
+    count2 = block.shape[1]
+    return BellSweep(step=step, points=points, shape=(count // count2, count2),
+                     minimum=BellPoint(*least.tolist()))
 
 
 @dataclass(frozen=True)

@@ -79,18 +79,6 @@ class SingletBoxing:
         return cls(triple, triple.negated())
 
 
-@dataclass(frozen=True)
-class UnconstrainedBoxing:
-    """Two-compartment box with no packing rule.
-
-    Exists to show what the rule buys: without it, the two-compartment
-    coincidence probability and its single-compartment rewrite come apart.
-    """
-
-    compartment1: AttributeTriple
-    compartment2: AttributeTriple
-
-
 def _pattern_product(dark, round_, pattern: str) -> int:
     """Product of one sign per compartment: dark for pattern letter x, round for y."""
     out = 1

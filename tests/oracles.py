@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 closed_form_sequential is the textbook formula for the sequential
-measurements.  axis_eigenvectors and joint_outcome_prob are bellbox's
+measurements.  UnconstrainedBoxing is a two-compartment box without the
+packing rule, for the test that shows what the rule buys.  axis_eigenvectors and joint_outcome_prob are bellbox's
 earlier Born rule, which rebuilt an axis's eigenvectors on every call; the
 axis's stored eigenbasis and quantum.joint_outcome_prob must give the same
 bits, since reports print their residues.  bell_sweep_records is
@@ -16,10 +17,12 @@ import csv
 import io
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from bellbox import cli, experiments
+from bellbox.lhv import AttributeTriple
 
 
 def closed_form_sequential(theta1: float, theta2: float) -> tuple[float, float]:
@@ -31,6 +34,16 @@ def closed_form_sequential(theta1: float, theta2: float) -> tuple[float, float]:
         0.5 * math.sin(theta1 / 2.0) ** 2 * shared,
         0.5 * math.sin(theta2 / 2.0) ** 2 * shared,
     )
+
+
+@dataclass(frozen=True)
+class UnconstrainedBoxing:
+    """Two-compartment box with no packing rule: without it, the
+    two-compartment coincidence probability and its single-compartment
+    rewrite come apart."""
+
+    compartment1: AttributeTriple
+    compartment2: AttributeTriple
 
 
 def axis_eigenvectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:

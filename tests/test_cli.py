@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -169,6 +170,14 @@ class TestParsing:
         assert "angles must be finite" in err
         assert "--grid-step must be positive" in err
         assert "expected one argument" not in err
+        # an error parse_args finds after argparse is done names the command,
+        # as argparse's own errors for it do
+        for argv, message in ((["bell-sweep", "--grid-step", "0"], "--grid-step must be positive"),
+                              (["singlet-bell", "--samples", "0"], "--samples must be at least 1")):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: bellbox {argv[0]} [-h] ")
+            assert err.endswith(f"\nbellbox {argv[0]}: error: {message}\n")
 
     def test_sample_cap_is_inclusive(self):
         argv = ["classical-mc", "ghz", "--samples", str(experiments.MAX_SAMPLES)]
@@ -477,7 +486,9 @@ def _sweep_env(rows: int) -> cli.ReportEnvelope:
     expanded to one value a row first."""
     env = run(parse_args(["bell-sweep", "--grid-step", "15"]))
     columns = tuple(np.resize(_expanded(column), rows) for column in env.table.columns)
-    notes = tuple(AWKWARD[i % len(AWKWARD)] for i in range(rows))
+    notes = tuple(AWKWARD[i % len(AWKWARD)] for i in range(rows - 1))
+    # the widest note is in the last row, so the text widths must see every block
+    notes += ("the widest note, in the last row",) if rows else ()
     results = dict(env.results, points=cli.Table(cli.BELL_POINT_KEYS, columns))
     table = cli.Table(env.table.header + ("note",), columns + (notes,), env.table.covers)
     return dataclasses.replace(env, results=results, table=table)
@@ -485,9 +496,45 @@ def _sweep_env(rows: int) -> cli.ReportEnvelope:
 
 @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 2])
 @pytest.mark.parametrize("fmt", sorted(RENDERERS))
-def test_render_matches_oracle_at_block_edges(fmt, rows):
+def test_render_matches_oracle_at_block_edges(fmt, rows, monkeypatch):
     env = _sweep_env(rows)
-    assert render(env, fmt) == RENDERERS[fmt](env)
+    want = RENDERERS[fmt](env)
+    assert render(env, fmt) == want
+    # across render-block edges too: at 64 rows a render block, the tables
+    # of block edges +-1 rows end in a part block, of one row at 8193
+    monkeypatch.setattr(cli, "_RENDER_ROWS", 64)
+    assert render(env, fmt) == want
+
+
+def _traced_sweep(step: str, fmt: str) -> tuple[int, int]:
+    """The tracemalloc peak of one bell-sweep report, built and written to
+    os.devnull, and the bytes of the table's columns held meanwhile."""
+    tracemalloc.start()
+    try:
+        env = run(parse_args(["bell-sweep", "--grid-step", step]))
+        cli.emit(env, fmt, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = {}
+    for column in env.table.columns:
+        for array in (column.values, column.codes) if isinstance(column, cli._Coded) else (column,):
+            arrays[id(array)] = array.nbytes
+    return peak, sum(arrays.values())
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDERERS))
+def test_peak_memory_follows_the_render_block(fmt, monkeypatch):
+    # 4141 rows a render block: the 2 degree sweep (8,281 points) is 2 blocks
+    # and the 1 degree sweep (32,761 points) 8.  Less the columns the report
+    # holds (25 bytes a point: p_bc, bell_gap and violated, and the two
+    # axis codes), the 8-block report must peak within 0.25 MiB of the
+    # 2-block one.  The whole grid's cell texts, or its 49-byte records,
+    # would add over 1 MiB.
+    monkeypatch.setattr(cli, "_RENDER_ROWS", 4141)
+    two, held_two = _traced_sweep("2", fmt)
+    eight, held_eight = _traced_sweep("1", fmt)
+    assert eight - held_eight <= two - held_two + 2**18
 
 
 # header and cell texts: CSV specials, whitespace rstrip may cut, and %.
@@ -898,8 +945,9 @@ class TestOutputAndExitCodes:
         for fmt in sorted(cli._RENDERERS):
             assert main(["order-demo", "--format", fmt, "--output", str(target)]) == 1, fmt
             err = capsys.readouterr().err
-            assert err.startswith("usage: bellbox ")
-            assert err.endswith("bellbox: error: --output must be a path UTF-8 can encode\n")
+            assert err.startswith("usage: bellbox order-demo ")
+            assert err.endswith(
+                "\nbellbox order-demo: error: --output must be a path UTF-8 can encode\n")
             # neither the report nor its temporary file is left behind
             assert list(tmp_path.iterdir()) == []
 

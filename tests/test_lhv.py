@@ -19,7 +19,6 @@ from bellbox.lhv import (
     PARITY_PATTERNS,
     PROPERTIES,
     SingletBoxing,
-    UnconstrainedBoxing,
     bell_check,
     build_ghz_ensemble,
     build_singlet_ensemble,
@@ -31,6 +30,8 @@ from bellbox.lhv import (
     tilde_correlation_prob,
     venn_counts,
 )
+
+from oracles import UnconstrainedBoxing
 
 ALL_TRIPLES = [
     AttributeTriple(d, r, s) for d in (1, -1) for r in (1, -1) for s in (1, -1)
