@@ -529,8 +529,8 @@ def test_peak_memory_follows_the_render_block(fmt, monkeypatch):
     # and the 1 degree sweep (32,761 points) 8.  Less the columns the report
     # holds (25 bytes a point: p_bc, bell_gap and violated, and the two
     # axis codes), the 8-block report must peak within 0.25 MiB of the
-    # 2-block one.  The whole grid's cell texts, or its 49-byte records,
-    # would add over 1 MiB.
+    # 2-block one.  Holding the whole grid's cell texts added about 0.9 MiB
+    # more, and its 49-byte records would add 1.1 MiB.
     monkeypatch.setattr(cli, "_RENDER_ROWS", 4141)
     two, held_two = _traced_sweep("2", fmt)
     eight, held_eight = _traced_sweep("1", fmt)
