@@ -28,13 +28,10 @@ from .lhv import (
     SingletBoxing,
     GhzBoxing,
     Ensemble,
-    VennCounts,
     CorrelationReport,
     build_singlet_ensemble,
     build_ghz_ensemble,
     correlation_prob,
-    tilde_correlation_prob,
-    venn_counts,
     bell_check,
     parity_product,
     enumerate_singlet_lhv,

@@ -301,35 +301,23 @@ def _cmd_singlet_bell(config: RunConfig):
 
 
 def _cmd_bell_sweep(config: RunConfig):
-    step = math.radians(config.grid_step_deg)
-    count = experiments._sweep_point_count(step)
-    dtype = experiments.BELL_POINT_DTYPE
-    # of each record, only the fields that read both angles are held: 17 bytes
-    names = ["p_q_BC", "bell_gap", "violated"]
-    held = np.empty(count, dtype=[(name, dtype[name]) for name in names])
-    firsts, start = [], 0
-    for block, least in experiments._bell_blocks(step):
-        held[start:start + block.size] = block.reshape(-1)[names]
-        start += block.size
-        firsts.append(block[:, 0].copy())
-    # theta1 and p_AB from each row's first record, theta2 and p_AC from a row
-    by_row, by_column = np.concatenate(firsts), block[0]
-    minimum = experiments.BellPoint(*least.tolist())
+    sweep = experiments.quantum_bell_sweep(math.radians(config.grid_step_deg))
+    minimum = sweep.minimum
     # the fields that read one angle are coded by that angle's grid index
-    count1, count2 = len(by_row), len(by_column)
+    count1, count2 = sweep.shape
     by_theta1 = np.repeat(np.arange(count1, dtype=np.int32), count2)
     by_theta2 = np.tile(np.arange(count2, dtype=np.int32), count1)
     # np.degrees rounds exactly as math.degrees does
     columns = _bell_fields(
-        held,
-        _Coded(np.degrees(by_row["theta1"]), by_theta1),
-        _Coded(np.degrees(by_column["theta2"]), by_theta2),
-        _Coded(by_row["p_q_AB"], by_theta1),
-        _Coded(by_column["p_q_AC"], by_theta2),
+        sweep.points,
+        _Coded(np.degrees(sweep.theta1), by_theta1),
+        _Coded(np.degrees(sweep.theta2), by_theta2),
+        _Coded(sweep.p_q_AB, by_theta1),
+        _Coded(sweep.p_q_AC, by_theta2),
     )
     results = {
         "grid_step_deg": config.grid_step_deg,
-        "point_count": count,
+        "point_count": len(sweep.points),
         "min_gap": minimum.bell_gap,
         "argmin_theta1_deg": math.degrees(minimum.theta1),
         "argmin_theta2_deg": math.degrees(minimum.theta2),

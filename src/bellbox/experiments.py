@@ -98,31 +98,31 @@ class BellPoint:
     violated: bool
 
     def __post_init__(self):
-        _check_bell_fields(self)
+        _check_bell_fields(self.p_q_AB, self.p_q_BC, self.p_q_AC, self.bell_gap, self.violated)
 
     @classmethod
     def from_probs(cls, theta1, theta2, p_ab, p_bc, p_ac) -> BellPoint:
         return cls(theta1, theta2, p_ab, p_bc, p_ac, *_gap_and_flag(p_ab, p_bc, p_ac))
 
 
-# One record per grid point, fields named as on BellPoint.
+# A BellPoint's fields as a record; a sweep's points hold the three that
+# read both angles.
 BELL_POINT_DTYPE = np.dtype(
     [(f.name, np.bool_ if f.name == "violated" else np.float64) for f in fields(BellPoint)]
 )
 
 
-def _check_bell_fields(points) -> None:
+def _check_bell_fields(p_ab, p_bc, p_ac, bell_gap, violated) -> None:
     """The probabilities lie in [0, 1/2]; bell_gap and violated follow from them.
 
-    Fields are read by attribute, so this checks one BellPoint or, column by
-    column, a block of BELL_POINT_DTYPE records; a message gives the block's range.
+    The fields are one BellPoint's or, as arrays that broadcast together, a
+    block of sweep points'; a message gives the block's range.
     """
-    for name in ("p_q_AB", "p_q_BC", "p_q_AC"):
-        p = getattr(points, name)
+    for name, p in zip(("p_q_AB", "p_q_BC", "p_q_AC"), (p_ab, p_bc, p_ac)):
         if not np.all((0.0 <= p) & (p <= 0.5 + ATOL)):
             raise ValueError(f"{name} out of [0, 1/2]: {np.min(p)} to {np.max(p)}")
-    gap, violated = _gap_and_flag(points.p_q_AB, points.p_q_BC, points.p_q_AC)
-    if np.any(points.bell_gap != gap) or np.any(points.violated != violated):
+    gap, flag = _gap_and_flag(p_ab, p_bc, p_ac)
+    if np.any(bell_gap != gap) or np.any(violated != flag):
         raise ValueError("bell_gap or violated inconsistent with the probabilities")
 
 
@@ -150,19 +150,22 @@ def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
 
 @dataclass(frozen=True, eq=False)
 class BellSweep:
-    """Grid of points, as a record array of BELL_POINT_DTYPE in grid order,
-    with the most negative gap singled out.  shape is (theta1 count, theta2
-    count): points.reshape(shape) is the grid, theta1 along axis 0.
+    """A grid of points as read-only arrays, with the most negative gap
+    singled out.  theta1 and theta2 are the axes; p_q_AB holds one value per
+    theta1 and p_q_AC one per theta2; points holds p_q_BC, bell_gap and
+    violated per point (17 bytes), in grid order: points.reshape(shape) is
+    the grid, theta1 along axis 0."""
 
-    The bell-sweep report builds no BellSweep: it reads the same checked
-    blocks (_bell_blocks), holds only p_q_BC, bell_gap and violated per
-    point (17 bytes against a record's 49), and builds its cell texts a
-    render block (cli._RENDER_ROWS, 2**17 rows) at a time."""
-
-    step: float
+    theta1: np.ndarray
+    theta2: np.ndarray
+    p_q_AB: np.ndarray
+    p_q_AC: np.ndarray
     points: np.recarray
-    shape: tuple[int, int]
     minimum: BellPoint
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.theta1), len(self.theta2)
 
     @property
     def min_gap(self) -> float:
@@ -223,41 +226,6 @@ def _sweep_point_count(
     return count
 
 
-def _bell_blocks(
-    step: float,
-    theta1_range: tuple[float, float] = (0.0, math.pi),
-    theta2_range: tuple[float, float] = (0.0, math.pi),
-):
-    """The sweep grid in grid order, a block of whole theta1 rows (about
-    _BLOCK_ROWS points) at a time, so no temporary spans the grid.  Yields
-    each block, a checked BELL_POINT_DTYPE record array of shape (theta1
-    rows, theta2 count), with the record of least bell_gap so far: the
-    first in grid order on ties."""
-    _sweep_point_count(step, theta1_range, theta2_range)
-    t1 = _grid(*theta1_range, step)
-    t2 = _grid(*theta2_range, step)
-    rows = max(1, _BLOCK_ROWS // len(t2))
-    # p_AB is computed once per theta1 and p_AC once per theta2, and the
-    # block's fields broadcast them: the same operations on the same values
-    g2 = t2[None, :]
-    least = None
-    for start in range(0, len(t1), rows):
-        g1 = t1[start:start + rows, None]
-        probs = _closed_form_probs(g1, g2)
-        block = np.recarray((len(g1), len(t2)), dtype=BELL_POINT_DTYPE)
-        for name, values in zip(block.dtype.names, (g1, g2, *probs, *_gap_and_flag(*probs))):
-            block[name] = values
-        try:
-            _check_bell_fields(block)
-        except ValueError as exc:
-            raise PhysicsAssertionError(str(exc)) from exc
-        flat = block.reshape(-1)
-        i = int(np.argmin(flat.bell_gap))
-        if least is None or flat.bell_gap[i] < least.bell_gap:
-            least = flat[i]
-        yield block, least
-
-
 def quantum_bell_sweep(
     step: float,
     theta1_range: tuple[float, float] = (0.0, math.pi),
@@ -268,19 +236,42 @@ def quantum_bell_sweep(
     Each axis runs from its low end in whole steps up to its high end; the
     last point is the last one not past the high end.  Grid order is
     theta1-major, both angles ascending.  Ties on the minimum resolve to the
-    first point in that order.
+    first point in that order.  The points are computed and checked a block
+    of whole theta1 rows (about _BLOCK_ROWS points) at a time, so no
+    temporary spans the grid.
     """
     count = _sweep_point_count(step, theta1_range, theta2_range)
-    points = np.recarray(count, dtype=BELL_POINT_DTYPE)
-    start = 0
-    for block, least in _bell_blocks(step, theta1_range, theta2_range):
-        points[start:start + block.size] = block.reshape(-1)
-        start += block.size
-    # the block checks hold only while the records stay as computed
-    points.flags.writeable = False
-    count2 = block.shape[1]
-    return BellSweep(step=step, points=points, shape=(count // count2, count2),
-                     minimum=BellPoint(*least.tolist()))
+    t1, t2 = _grid(*theta1_range, step), _grid(*theta2_range, step)
+    names = ("p_q_BC", "bell_gap", "violated")
+    points = np.recarray(count, dtype=[(name, BELL_POINT_DTYPE[name]) for name in names])
+    grid, p_ab = points.reshape(len(t1), len(t2)), np.empty_like(t1)
+    rows = max(1, _BLOCK_ROWS // len(t2))
+    least = 0
+    for start in range(0, len(t1), rows):
+        # a column of theta1 values meets the row of theta2 values, so p_AB
+        # is computed once per theta1 and p_AC once per theta2
+        block_ab, p_bc, p_ac = _closed_form_probs(t1[start:start + rows, None], t2[None, :])
+        p_ab[start:start + rows] = block_ab[:, 0]
+        block = grid[start:start + rows]
+        for name, values in zip(names, (p_bc, *_gap_and_flag(block_ab, p_bc, p_ac))):
+            block[name] = values
+        # the checks read what is held, so a field held too coarsely fails
+        try:
+            _check_bell_fields(p_ab[start:start + rows, None], block.p_q_BC, p_ac,
+                               block.bell_gap, block.violated)
+        except ValueError as exc:
+            raise PhysicsAssertionError(str(exc)) from exc
+        i = start * len(t2) + int(np.argmin(block.bell_gap))
+        if points.bell_gap[i] < points.bell_gap[least]:
+            least = i
+    p_ac = p_ac[0]
+    # the block checks hold only while the arrays stay as computed
+    for array in (t1, t2, p_ab, p_ac, points):
+        array.flags.writeable = False
+    i, j = divmod(least, len(t2))
+    minimum = BellPoint.from_probs(
+        *(float(v) for v in (t1[i], t2[j], p_ab[i], points.p_q_BC[least], p_ac[j])))
+    return BellSweep(t1, t2, p_ab, p_ac, points, minimum)
 
 
 @dataclass(frozen=True)

@@ -219,67 +219,6 @@ def correlation_prob(ens: Ensemble, prop1: str, prop2: str) -> Fraction:
     return sum((w for b, w in ens.entries if coincides(b, prop1, prop2)), Fraction(0))
 
 
-def tilde_correlation_prob(ens: Ensemble, prop1: str, prop2: str) -> Fraction:
-    """Probability that compartment 1 has prop1 but lacks prop2.
-
-    Under the complementation packing rule this equals
-    correlation_prob(ens, prop1, prop2); without the rule it need not.
-    """
-    _checked_property(prop1)
-    _checked_property(prop2)
-    total = Fraction(0)
-    for boxing, weight in ens.entries:
-        if boxing.compartment1.get(prop1) == 1 and boxing.compartment1.get(prop2) == -1:
-            total += weight
-    return total
-
-
-# Region sign patterns (dark, round, swiss) of compartment-1 items.  Region 1
-# is dark-only, 2 dark-and-round-only, 3 all three, 4 dark-and-swiss-only,
-# then the mirrored non-dark regions, 8 being none-of-the-three.
-_REGION_SIGNS = (
-    (1, -1, -1),
-    (1, 1, -1),
-    (1, 1, 1),
-    (1, -1, 1),
-    (-1, 1, -1),
-    (-1, 1, 1),
-    (-1, -1, 1),
-    (-1, -1, -1),
-)
-
-
-@dataclass(frozen=True)
-class VennCounts:
-    """Measures of the eight property-combination regions of compartment-1 items."""
-
-    k1: Fraction
-    k2: Fraction
-    k3: Fraction
-    k4: Fraction
-    k5: Fraction
-    k6: Fraction
-    k7: Fraction
-    k8: Fraction
-
-    def __post_init__(self):
-        if sum(self.as_tuple()) != 1:
-            raise ValueError("region measures must sum to exactly 1")
-
-    def as_tuple(self) -> tuple[Fraction, ...]:
-        return (self.k1, self.k2, self.k3, self.k4, self.k5, self.k6, self.k7, self.k8)
-
-
-def venn_counts(ens: Ensemble) -> VennCounts:
-    """Region measures of compartment-1 items for a two-compartment ensemble."""
-    totals = [Fraction(0)] * 8
-    for boxing, weight in ens.entries:
-        c1 = boxing.compartment1
-        pattern = (c1.dark, c1.round, c1.swiss)
-        totals[_REGION_SIGNS.index(pattern)] += weight
-    return VennCounts(*totals)
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """The three pairwise coincidence probabilities and the inequality verdict.

@@ -2,13 +2,14 @@
 
 closed_form_sequential is the textbook formula for the sequential
 measurements.  UnconstrainedBoxing is a two-compartment box without the
-packing rule, for the test that shows what the rule buys.  axis_eigenvectors and joint_outcome_prob are bellbox's
+packing rule.  axis_eigenvectors and joint_outcome_prob are bellbox's
 earlier Born rule, which rebuilt an axis's eigenvectors on every call; the
 axis's stored eigenbasis and quantum.joint_outcome_prob must give the same
 bits, since reports print their residues.  bell_sweep_records is
 bellbox's earlier sweep, which built each field over the whole grid and
-then copied them into records; quantum_bell_sweep fills its records a
-block of rows at a time and must give the same bytes.  The render_* functions are bellbox's earlier per-row
+then copied them into records; quantum_bell_sweep computes a block of rows
+at a time and holds each one-angle field once per axis value, and
+sweep_records must expand what it holds to the same bytes.  The render_* functions are bellbox's earlier per-row
 renderers: csv.writer for CSV, one %-template per row for the text table
 and for the JSON rows of a Table inside results.  cli renders whole blocks
 of rows at a time and must write the same bytes."""
@@ -38,9 +39,7 @@ def closed_form_sequential(theta1: float, theta2: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class UnconstrainedBoxing:
-    """Two-compartment box with no packing rule: without it, the
-    two-compartment coincidence probability and its single-compartment
-    rewrite come apart."""
+    """Two-compartment box with no packing rule, which SingletBoxing enforces."""
 
     compartment1: AttributeTriple
     compartment2: AttributeTriple
@@ -76,8 +75,8 @@ def bell_sweep_records(
     theta1_range: tuple[float, float] = (0.0, math.pi),
     theta2_range: tuple[float, float] = (0.0, math.pi),
 ) -> np.recarray:
-    """The records of quantum_bell_sweep(step, theta1_range, theta2_range),
-    from one meshgrid over the whole grid."""
+    """The records sweep_records expands quantum_bell_sweep(step,
+    theta1_range, theta2_range) to, from one meshgrid over the whole grid."""
     g1, g2 = np.meshgrid(
         experiments._grid(*theta1_range, step), experiments._grid(*theta2_range, step),
         indexing="ij",
@@ -87,6 +86,20 @@ def bell_sweep_records(
         [a.reshape(-1) for a in (g1, g2, *probs, *experiments._gap_and_flag(*probs))],
         dtype=experiments.BELL_POINT_DTYPE,
     )
+
+
+def sweep_records(sweep: experiments.BellSweep) -> np.recarray:
+    """A BellSweep as BELL_POINT_DTYPE records, one per point in grid order:
+    each axis and its one-angle field repeated along the other axis."""
+    records = np.recarray(len(sweep.points), dtype=experiments.BELL_POINT_DTYPE)
+    grid = records.reshape(sweep.shape)
+    for name in ("theta1", "p_q_AB"):
+        grid[name] = getattr(sweep, name)[:, None]
+    for name in ("theta2", "p_q_AC"):
+        grid[name] = getattr(sweep, name)
+    for name in sweep.points.dtype.names:
+        records[name] = sweep.points[name]
+    return records
 
 
 def _cells(column) -> list[str]:

@@ -31,12 +31,17 @@ def test_traced_names_are_public_layer_functions():
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, f"{layer}.{name}"
 
 
-def test_counted_arguments_are_parameters():
-    # a traced run reads each counted argument, and each render's format, by
-    # parameter name: a renamed parameter fails only that run, with a KeyError
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)  # bench/ is not a package
+    return tracing
+
+
+def test_counted_arguments_are_parameters():
+    # a traced run reads each counted argument, and each render's format, by
+    # parameter name: a renamed parameter fails only that run, with a KeyError
+    tracing = _tracing()
     for qualname, (_, param, _) in tracing.COUNTERS.items():
         layer, name = qualname.split(".")
         fn = getattr(importlib.import_module(f"bellbox.{layer}"), name)
@@ -44,3 +49,19 @@ def test_counted_arguments_are_parameters():
             assert param in inspect.signature(fn).parameters, qualname
     render = importlib.import_module("bellbox.cli").render
     assert "fmt" in inspect.signature(render).parameters
+
+
+def test_traced_sweep_report_counts_its_points(capsys):
+    # the bell-sweep report computes its points through quantum_bell_sweep,
+    # so a traced sweep op counts them: 13 x 13 at 15 degrees
+    tracer = _tracing().Tracer()
+    restore = tracer.install()
+    try:
+        main = importlib.import_module("bellbox.cli").main
+        assert tracer.op(0, lambda: main(["bell-sweep", "--grid-step", "15"])) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    assert metrics["experiments.quantum_bell_sweep.calls"] == 1
+    assert metrics["experiments.quantum_bell_sweep.points"] == 169

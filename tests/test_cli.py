@@ -30,7 +30,7 @@ from bellbox import cli
 from bellbox.cli import SCHEMA_PATH, main, parse_args, render, run
 from bellbox import experiments, lhv
 from bellbox.experiments import PhysicsAssertionError
-from oracles import RENDERERS
+from oracles import RENDERERS, sweep_records
 
 # one argv per distinct report shape the schema must cover
 VARIANTS = [
@@ -684,7 +684,7 @@ def test_coded_columns_render_as_their_rows(drawn):
 @pytest.mark.parametrize("step", ["15", "1", "0.5"])
 def test_sweep_axis_columns_are_coded_by_axis(step):
     sweep = experiments.quantum_bell_sweep(math.radians(float(step)))
-    points, per_axis = sweep.points, round(180 / float(step)) + 1
+    points, per_axis = sweep_records(sweep), round(180 / float(step)) + 1
     columns = dict(zip(cli.BELL_POINT_KEYS, run(parse_args(["bell-sweep", "--grid-step", step]))
                        .table.columns))
     replaced = {"theta1_deg": np.degrees(points.theta1), "theta2_deg": np.degrees(points.theta2),

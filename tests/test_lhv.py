@@ -3,7 +3,6 @@
 Every probability here is a Fraction; equality assertions are exact, with no
 floating-point tolerance anywhere except the sampling-frequency test."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -27,8 +26,6 @@ from bellbox.lhv import (
     enumerate_singlet_lhv,
     parity_product,
     sample_indices,
-    tilde_correlation_prob,
-    venn_counts,
 )
 
 from oracles import UnconstrainedBoxing
@@ -36,17 +33,6 @@ from oracles import UnconstrainedBoxing
 ALL_TRIPLES = [
     AttributeTriple(d, r, s) for d in (1, -1) for r in (1, -1) for s in (1, -1)
 ]
-
-
-def random_singlet_ensemble(rng):
-    counts = rng.integers(1, 50, size=8)
-    total = int(counts.sum())
-    return Ensemble(
-        tuple(
-            (SingletBoxing.from_first(t), Fraction(int(c), total))
-            for t, c in zip(ALL_TRIPLES, counts)
-        )
-    )
 
 
 class TestTypes:
@@ -172,48 +158,6 @@ class TestCorrelations:
         assert correlation_prob(ens, "dark", "round") == Fraction(1, 4)
         assert correlation_prob(ens, "dark", "dark") == 0
         assert correlation_prob(ens, "swiss", "round") == Fraction(1, 4)
-
-    def test_tilde_equals_plain_under_the_rule(self):
-        rng = np.random.default_rng(5)
-        ensembles = [build_singlet_ensemble()] + [
-            random_singlet_ensemble(rng) for _ in range(200)
-        ]
-        for ens in ensembles:
-            for p1, p2 in itertools.product(PROPERTIES, repeat=2):
-                assert tilde_correlation_prob(ens, p1, p2) == correlation_prob(ens, p1, p2)
-
-    def test_tilde_diverges_without_the_rule(self):
-        # a box whose second compartment simply copies the first
-        t = AttributeTriple(1, -1, 1)
-        ens = Ensemble(((UnconstrainedBoxing(t, t), Fraction(1)),))
-        assert tilde_correlation_prob(ens, "dark", "round") == 1
-        assert correlation_prob(ens, "dark", "round") == 0
-
-    def test_same_property_tilde_is_zero(self):
-        ens = build_singlet_ensemble()
-        assert tilde_correlation_prob(ens, "dark", "dark") == 0
-
-
-class TestVennCounts:
-    def test_uniform_ensemble_has_equal_regions(self):
-        counts = venn_counts(build_singlet_ensemble())
-        assert counts.as_tuple() == tuple([Fraction(1, 8)] * 8)
-
-    def test_point_mass_lands_in_one_region(self):
-        box = SingletBoxing.from_first(AttributeTriple(1, 1, 1))
-        counts = venn_counts(Ensemble(((box, Fraction(1)),)))
-        assert counts.k3 == 1
-        assert sum(counts.as_tuple()) == 1
-        assert counts.as_tuple().count(Fraction(0)) == 7
-
-    def test_region_identities(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            ens = random_singlet_ensemble(rng)
-            k = venn_counts(ens)
-            assert tilde_correlation_prob(ens, "dark", "round") == k.k1 + k.k4
-            assert tilde_correlation_prob(ens, "round", "swiss") == k.k2 + k.k5
-            assert tilde_correlation_prob(ens, "dark", "swiss") == k.k1 + k.k2
 
 
 class TestBellCheck:
