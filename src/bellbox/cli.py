@@ -264,7 +264,7 @@ def parse_args(argv=None) -> RunConfig:
         if not (math.isfinite(grid_step) and grid_step > 0):
             parser.error("--grid-step must be positive")
         try:
-            experiments._sweep_point_count(math.radians(grid_step))
+            experiments._axis_count(math.radians(grid_step))
         except ValueError:
             parser.error(f"--grid-step {grid_step:g} gives more than "
                          f"{experiments.MAX_SWEEP_POINTS:,} grid points")
@@ -476,16 +476,12 @@ def _cmd_state_report(config: RunConfig):
         "axis": {"theta_deg": config.theta1_deg, "phi_deg": 0.0},
         "singlet": {
             "amplitudes": _complex_pairs(singlet.amplitudes),
-            "reduced_site1_diag": [
-                quantum.partial_trace(singlet, 1).entries[i, i].real for i in range(2)
-            ],
+            "reduced_site1_diag": list(quantum.partial_trace(singlet, 1).entries.diagonal().real),
             "invariance_residual": quantum.singlet_invariance_residual(axis),
         },
         "ghz": {
             "amplitudes": _complex_pairs(ghz.amplitudes),
-            "reduced_site2_diag": [
-                quantum.partial_trace(ghz, 2).entries[i, i].real for i in range(2)
-            ],
+            "reduced_site2_diag": list(quantum.partial_trace(ghz, 2).entries.diagonal().real),
         },
         "axis_distributions": {
             "mixed": list(distributions.mixed),

@@ -151,10 +151,10 @@ def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
 @dataclass(frozen=True, eq=False)
 class BellSweep:
     """A grid of points as read-only arrays, with the most negative gap
-    singled out.  theta1 and theta2 are the axes; p_q_AB holds one value per
-    theta1 and p_q_AC one per theta2; points holds p_q_BC, bell_gap and
-    violated per point (17 bytes), in grid order: points.reshape(shape) is
-    the grid, theta1 along axis 0."""
+    singled out.  theta1 and theta2 are the axes, one array, as the grid is
+    square; p_q_AB holds one value per theta1 and p_q_AC one per theta2;
+    points holds p_q_BC, bell_gap and violated per point (17 bytes), in
+    grid order: points.reshape(shape) is the grid, theta1 along axis 0."""
 
     theta1: np.ndarray
     theta2: np.ndarray
@@ -195,62 +195,42 @@ _BLOCK_ROWS = 8192
 MAX_SAMPLES = 10**7
 
 
-def _axis_size(lo: float, hi: float, step: float) -> int:
-    """Number of points lo, lo + step, ... that stay within hi.  A last point
-    past hi by rounding alone (under 1e-9 of a step) still counts."""
-    if hi < lo:
-        raise ValueError("range must be ordered low to high")
-    steps = (hi - lo) / step
-    if steps >= MAX_SWEEP_POINTS:
-        raise ValueError(_TOO_FINE)
-    return math.floor(steps + 1e-9) + 1
-
-
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    return lo + step * np.arange(_axis_size(lo, hi, step))
-
-
-def _sweep_point_count(
-    step: float,
-    theta1_range: tuple[float, float] = (0.0, math.pi),
-    theta2_range: tuple[float, float] = (0.0, math.pi),
-) -> int:
-    """Points quantum_bell_sweep would evaluate, found without allocating the
-    grid.  Raises ValueError for a bad step or range, or for a grid larger
-    than MAX_SWEEP_POINTS."""
+def _axis_count(step: float) -> int:
+    """Points on each axis of the sweep grid: 0, step, ... up to the last
+    not past pi; a last point past pi by rounding alone (under 1e-9 of a
+    step) still counts.  Found without allocating the grid.  Raises
+    ValueError for a bad step, or for a grid larger than MAX_SWEEP_POINTS."""
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError("step must be positive and finite")
-    count = _axis_size(*theta1_range, step) * _axis_size(*theta2_range, step)
-    if count > MAX_SWEEP_POINTS:
+    # pi / step overflows to inf for a subnormal step
+    count = math.floor(min(math.pi / step, MAX_SWEEP_POINTS) + 1e-9) + 1
+    if count * count > MAX_SWEEP_POINTS:
         raise ValueError(_TOO_FINE)
     return count
 
 
-def quantum_bell_sweep(
-    step: float,
-    theta1_range: tuple[float, float] = (0.0, math.pi),
-    theta2_range: tuple[float, float] = (0.0, math.pi),
-) -> BellSweep:
-    """Evaluate the closed forms on an inclusive grid and report the minimum.
+def quantum_bell_sweep(step: float) -> BellSweep:
+    """Evaluate the closed forms on the square grid over [0, pi] and report
+    the minimum.
 
-    Each axis runs from its low end in whole steps up to its high end; the
-    last point is the last one not past the high end.  Grid order is
-    theta1-major, both angles ascending.  Ties on the minimum resolve to the
-    first point in that order.  The points are computed and checked a block
-    of whole theta1 rows (about _BLOCK_ROWS points) at a time, so no
-    temporary spans the grid.
+    Both angles run over one axis, from 0 in whole steps up to the last
+    point not past pi, so theta2 is theta1.  Grid order is theta1-major,
+    both angles ascending.  Ties on the minimum resolve to the first point
+    in that order.  The points are computed and checked a block of whole
+    theta1 rows (about _BLOCK_ROWS points) at a time, so no temporary spans
+    the grid.
     """
-    count = _sweep_point_count(step, theta1_range, theta2_range)
-    t1, t2 = _grid(*theta1_range, step), _grid(*theta2_range, step)
+    count = _axis_count(step)
+    theta = step * np.arange(count)
     names = ("p_q_BC", "bell_gap", "violated")
-    points = np.recarray(count, dtype=[(name, BELL_POINT_DTYPE[name]) for name in names])
-    grid, p_ab = points.reshape(len(t1), len(t2)), np.empty_like(t1)
-    rows = max(1, _BLOCK_ROWS // len(t2))
+    points = np.recarray(count * count, dtype=[(name, BELL_POINT_DTYPE[name]) for name in names])
+    grid, p_ab = points.reshape(count, count), np.empty_like(theta)
+    rows = max(1, _BLOCK_ROWS // count)
     least = 0
-    for start in range(0, len(t1), rows):
+    for start in range(0, count, rows):
         # a column of theta1 values meets the row of theta2 values, so p_AB
         # is computed once per theta1 and p_AC once per theta2
-        block_ab, p_bc, p_ac = _closed_form_probs(t1[start:start + rows, None], t2[None, :])
+        block_ab, p_bc, p_ac = _closed_form_probs(theta[start:start + rows, None], theta[None, :])
         p_ab[start:start + rows] = block_ab[:, 0]
         block = grid[start:start + rows]
         for name, values in zip(names, (p_bc, *_gap_and_flag(block_ab, p_bc, p_ac))):
@@ -261,17 +241,17 @@ def quantum_bell_sweep(
                                block.bell_gap, block.violated)
         except ValueError as exc:
             raise PhysicsAssertionError(str(exc)) from exc
-        i = start * len(t2) + int(np.argmin(block.bell_gap))
+        i = start * count + int(np.argmin(block.bell_gap))
         if points.bell_gap[i] < points.bell_gap[least]:
             least = i
     p_ac = p_ac[0]
     # the block checks hold only while the arrays stay as computed
-    for array in (t1, t2, p_ab, p_ac, points):
+    for array in (theta, p_ab, p_ac, points):
         array.flags.writeable = False
-    i, j = divmod(least, len(t2))
+    i, j = divmod(least, count)
     minimum = BellPoint.from_probs(
-        *(float(v) for v in (t1[i], t2[j], p_ab[i], points.p_q_BC[least], p_ac[j])))
-    return BellSweep(t1, t2, p_ab, p_ac, points, minimum)
+        *(float(v) for v in (theta[i], theta[j], p_ab[i], points.p_q_BC[least], p_ac[j])))
+    return BellSweep(theta, theta, p_ab, p_ac, points, minimum)
 
 
 @dataclass(frozen=True)

@@ -71,13 +71,6 @@ class MeasurementAxis:
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
 
-    def unit_vector(self) -> tuple[float, float, float]:
-        return (
-            math.sin(self.theta) * math.cos(self.phi),
-            math.sin(self.theta) * math.sin(self.phi),
-            math.cos(self.theta),
-        )
-
     def operator(self) -> np.ndarray:
         """2x2 Hermitian matrix of the spin component along this axis."""
         return (self.basis * [1, -1]) @ self.basis.conj().T

@@ -1,8 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 closed_form_sequential is the textbook formula for the sequential
-measurements.  UnconstrainedBoxing is a two-compartment box without the
-packing rule.  axis_eigenvectors and joint_outcome_prob are bellbox's
+measurements.  unit_vector is an axis's direction in Cartesian
+coordinates.  axis_eigenvectors and joint_outcome_prob are bellbox's
 earlier Born rule, which rebuilt an axis's eigenvectors on every call; the
 axis's stored eigenbasis and quantum.joint_outcome_prob must give the same
 bits, since reports print their residues.  bell_sweep_records is
@@ -18,12 +18,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from bellbox import cli, experiments
-from bellbox.lhv import AttributeTriple
+from bellbox.quantum import MeasurementAxis
 
 
 def closed_form_sequential(theta1: float, theta2: float) -> tuple[float, float]:
@@ -37,12 +36,13 @@ def closed_form_sequential(theta1: float, theta2: float) -> tuple[float, float]:
     )
 
 
-@dataclass(frozen=True)
-class UnconstrainedBoxing:
-    """Two-compartment box with no packing rule, which SingletBoxing enforces."""
-
-    compartment1: AttributeTriple
-    compartment2: AttributeTriple
+def unit_vector(axis: MeasurementAxis) -> tuple[float, float, float]:
+    """The unit vector along axis, from its canonical theta and phi."""
+    return (
+        math.sin(axis.theta) * math.cos(axis.phi),
+        math.sin(axis.theta) * math.sin(axis.phi),
+        math.cos(axis.theta),
+    )
 
 
 def axis_eigenvectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -70,17 +70,11 @@ def joint_outcome_prob(amplitudes: np.ndarray, angles, outcomes) -> float:
     return float(np.sum(np.abs(tensor) ** 2))
 
 
-def bell_sweep_records(
-    step: float,
-    theta1_range: tuple[float, float] = (0.0, math.pi),
-    theta2_range: tuple[float, float] = (0.0, math.pi),
-) -> np.recarray:
-    """The records sweep_records expands quantum_bell_sweep(step,
-    theta1_range, theta2_range) to, from one meshgrid over the whole grid."""
-    g1, g2 = np.meshgrid(
-        experiments._grid(*theta1_range, step), experiments._grid(*theta2_range, step),
-        indexing="ij",
-    )
+def bell_sweep_records(step: float) -> np.recarray:
+    """The records sweep_records expands quantum_bell_sweep(step) to, from
+    one meshgrid over the whole grid."""
+    axis = step * np.arange(experiments._axis_count(step))
+    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     probs = experiments._closed_form_probs(g1, g2)
     return np.rec.fromarrays(
         [a.reshape(-1) for a in (g1, g2, *probs, *experiments._gap_and_flag(*probs))],

@@ -203,7 +203,7 @@ class TestParsing:
     def test_grid_cap_admits_a_tenth_of_a_degree(self):
         config = parse_args(["bell-sweep", "--grid-step", "0.1"])
         assert config.grid_step_deg == 0.1
-        assert experiments._sweep_point_count(math.radians(0.1)) == 1801 * 1801
+        assert experiments._axis_count(math.radians(0.1)) == 1801
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -29,7 +29,7 @@ from bellbox.experiments import (
     order_dependence_report,
     quantum_bell_point,
     quantum_bell_sweep,
-    _sweep_point_count,
+    _axis_count,
 )
 from bellbox.lhv import (
     AttributeTriple,
@@ -163,6 +163,7 @@ class TestBellSweep:
     def test_grid_order_and_pointwise_agreement(self):
         sweep = quantum_bell_sweep(math.radians(5.0))
         size = 37
+        assert sweep.theta2 is sweep.theta1
         assert len(sweep.points) == size * size
         records = sweep_records(sweep)
         rng = np.random.default_rng(13)
@@ -174,20 +175,14 @@ class TestBellSweep:
             direct = quantum_bell_point(point.theta1, point.theta2)
             assert point.bell_gap == pytest.approx(direct.bell_gap, abs=1e-12)
 
-    def test_single_cell_ranges(self):
-        sweep = quantum_bell_sweep(
-            0.1, theta1_range=(REF_T1, REF_T1), theta2_range=(REF_T2, REF_T2)
-        )
-        assert len(sweep.points) == 1
-        assert sweep.min_gap == pytest.approx(-0.125, abs=1e-12)
-
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             quantum_bell_sweep(0.0)
         with pytest.raises(ValueError):
             quantum_bell_sweep(-0.1)
-        with pytest.raises(ValueError):
-            quantum_bell_sweep(0.1, theta1_range=(1.0, 0.5))
+        for step in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                quantum_bell_sweep(step)
 
     def test_points_are_columns(self):
         sweep = quantum_bell_sweep(math.radians(5.0))
@@ -223,34 +218,28 @@ class TestBellSweep:
         monkeypatch.setattr(experiments, "_BLOCK_ROWS", 14)
         monkeypatch.setattr(experiments, "_closed_form_probs", out_of_range)
         # the message gives the range of the failing block: the last row's
-        grid = experiments._grid(0.0, math.pi, math.radians(30.0))
+        grid = math.radians(30.0) * np.arange(7)
         p_ab = np.vectorize(reference_probs)(grid[-1], grid)[0] + 0.6
         message = f"p_q_AB out of [0, 1/2]: {np.min(p_ab)} to {np.max(p_ab)}"
         with pytest.raises(PhysicsAssertionError, match=f"^{re.escape(message)}$"):
             quantum_bell_sweep(math.radians(30.0))
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.floats(min_value=0.01, max_value=1.0),
-        st.floats(min_value=-7.0, max_value=7.0),
-        st.integers(0, 30),
-        st.floats(min_value=-7.0, max_value=7.0),
-        st.integers(0, 30),
-        st.integers(1, 100),
-    )
-    # a single row, a single column, and blocks of 3 rows whose last holds 1
-    @example(0.1, 0.0, 0, 0.0, 20, 7)
-    @example(0.1, 0.0, 20, 0.0, 0, 7)
-    @example(0.1, 0.0, 12, 0.0, 9, 30)
-    def test_records_match_the_whole_grid_oracle(self, step, lo1, steps1, lo2, steps2, block):
-        ranges = (lo1, lo1 + steps1 * step), (lo2, lo2 + steps2 * step)
+    # steps that give 1 to 31 points an axis
+    @given(st.floats(min_value=math.pi / 30.5, max_value=4.0), st.integers(1, 100))
+    # a 1x1 grid, one-row blocks of 21 points, and blocks of 2 rows of 13
+    # whose last holds 1
+    @example(4.0, 7)
+    @example(math.pi / 20, 7)
+    @example(math.pi / 12, 30)
+    def test_records_match_the_whole_grid_oracle(self, step, block):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_BLOCK_ROWS", block)
-            sweep = quantum_bell_sweep(step, *ranges)
+            sweep = quantum_bell_sweep(step)
         # each one-angle field is held once per axis value, so the whole-grid
         # oracle's must not vary, bit for bit, along the other axis
         assert len(sweep.points) == sweep.shape[0] * sweep.shape[1]
-        assert sweep_records(sweep).tobytes() == bell_sweep_records(step, *ranges).tobytes()
+        assert sweep_records(sweep).tobytes() == bell_sweep_records(step).tobytes()
 
     @pytest.mark.parametrize("step_deg", [1.0, 0.5, 0.3])
     def test_records_match_the_whole_grid_oracle_at_full_blocks(self, step_deg):
@@ -261,7 +250,7 @@ class TestBellSweep:
         assert sweep_records(sweep).tobytes() == bell_sweep_records(step).tobytes()
 
     def test_peak_memory_follows_the_records(self):
-        # less the five arrays a sweep holds, the 0.5 degree sweep (130,321
+        # less the four arrays a sweep holds, the 0.5 degree sweep (130,321
         # points) must peak within 0.25 MiB of the 1 degree one (32,761):
         # a block's temporaries are a fixed cost, whatever the grid
         def traced(step_deg):
@@ -271,7 +260,8 @@ class TestBellSweep:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            arrays = (sweep.theta1, sweep.theta2, sweep.p_q_AB, sweep.p_q_AC, sweep.points)
+            # theta2 is theta1
+            arrays = (sweep.theta1, sweep.p_q_AB, sweep.p_q_AC, sweep.points)
             return peak - sum(array.nbytes for array in arrays)
 
         assert abs(traced(0.5) - traced(1.0)) <= 2**18
@@ -279,23 +269,24 @@ class TestBellSweep:
     def test_steps_dividing_180_keep_their_point_count(self):
         for step in (0.1, 0.25, 0.5, 0.75, 1, 2.5, 5, 7.5, 10, 15, 30, 45, 60, 90, 180):
             per_axis = round(180 / step) + 1
-            assert _sweep_point_count(math.radians(step)) == per_axis * per_axis, step
+            assert _axis_count(math.radians(step)) == per_axis, step
 
     def test_grid_size_is_capped(self):
-        assert _sweep_point_count(math.radians(0.1)) == 3_243_601 <= MAX_SWEEP_POINTS
-        for step in (math.radians(0.05), 1e-300, 5e-324):
+        assert _axis_count(math.radians(0.1)) ** 2 == 3_243_601 <= MAX_SWEEP_POINTS
+        # the cap is inclusive: 2000 points an axis fit, 2001 do not
+        assert _axis_count(math.radians(180.0 / 1999)) ** 2 == MAX_SWEEP_POINTS
+        for step in (math.radians(0.09), math.radians(0.05), 1e-300, 5e-324):
             with pytest.raises(ValueError, match="too fine"):
-                _sweep_point_count(step)
+                _axis_count(step)
             with pytest.raises(ValueError, match="too fine"):
                 quantum_bell_sweep(step)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(min_value=0.05, max_value=200.0))
+    # from the finest step the cap admits, 2000 points an axis
+    @given(st.floats(min_value=180.0 / 1999, max_value=200.0))
     def test_grid_ends_at_the_last_step_within_range(self, step_deg):
         step = math.radians(step_deg)
-        sweep = quantum_bell_sweep(step, theta2_range=(0.0, 0.0))
-        last = sweep.theta1[-1]
-        assert len(sweep.points) == _sweep_point_count(step, theta2_range=(0.0, 0.0))
+        last = step * (_axis_count(step) - 1)
         assert math.degrees(last) <= 180.0 + 1e-9 * step_deg
         assert math.degrees(last + step) > 180.0
 

@@ -28,8 +28,6 @@ from bellbox.lhv import (
     sample_indices,
 )
 
-from oracles import UnconstrainedBoxing
-
 ALL_TRIPLES = [
     AttributeTriple(d, r, s) for d in (1, -1) for r in (1, -1) for s in (1, -1)
 ]
@@ -67,10 +65,6 @@ class TestTypes:
         SingletBoxing(t, t.negated())
         with pytest.raises(ValueError):
             SingletBoxing(t, t)
-
-    def test_unconstrained_boxing_accepts_anything(self):
-        t = AttributeTriple(1, 1, -1)
-        UnconstrainedBoxing(t, t)
 
     def test_ghz_boxing_rule_enforced(self):
         GhzBoxing((1, 1, 1), (1, 1, 1), 1)
