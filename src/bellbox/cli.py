@@ -76,8 +76,8 @@ class Table:
     columns holds one sequence per header entry, all of one length; each
     distinct value of a float64 or bool array is formatted once per render
     block (_RENDER_ROWS rows) it appears in.  A column
-    may be coded (_Coded): its values, each formatted once, and each row's
-    code into them, as a sweep holds a column that reads one axis.  covers
+    may be coded (_Coded): its values, each formatted once, read by rows in
+    a fixed pattern, as a sweep holds a column that reads one axis.  covers
     lists the top-level results keys the table already presents, so the
     text format does not repeat them as scalar lines.
     """
@@ -97,14 +97,32 @@ class Table:
 
 @dataclass(frozen=True, eq=False)
 class _Coded:
-    """A Table column whose row i holds values[codes[i]]: a numpy array of
-    values, each used by some row, and an int32 array of codes."""
+    """A Table column that reads one axis of a grid: row i of its length
+    rows holds values[(offset + i) // every % len(values)], values being a
+    numpy array of values each used by some row (a cut of the column, as a
+    render block takes, may use fewer).  A sweep's theta1 column holds each
+    theta1 value for a row of theta2 values (every is the theta2 count),
+    and its theta2 column cycles through the theta2 values (every is 1), so
+    it needs no array a row: codes() makes the index into values of the
+    rows asked for."""
 
     values: np.ndarray
-    codes: np.ndarray
+    every: int
+    length: int
+    offset: int = 0
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return self.length
+
+    def __getitem__(self, part: slice) -> _Coded:
+        start, stop, _ = part.indices(self.length)
+        return _Coded(self.values, self.every, max(stop - start, 0), self.offset + start)
+
+    def codes(self, start: int, stop: int) -> np.ndarray:
+        """The index into values of rows start to stop, as int32: a sweep
+        has at most MAX_SWEEP_POINTS rows."""
+        rows = np.arange(self.offset + start, self.offset + stop, dtype=np.int32)
+        return rows // self.every % len(self.values)
 
 
 @dataclass(frozen=True)
@@ -303,17 +321,18 @@ def _cmd_singlet_bell(config: RunConfig):
 def _cmd_bell_sweep(config: RunConfig):
     sweep = experiments.quantum_bell_sweep(math.radians(config.grid_step_deg))
     minimum = sweep.minimum
-    # the fields that read one angle are coded by that angle's grid index
-    count1, count2 = sweep.shape
-    by_theta1 = np.repeat(np.arange(count1, dtype=np.int32), count2)
-    by_theta2 = np.tile(np.arange(count2, dtype=np.int32), count1)
+    # the fields that read one angle are coded by that angle's grid index:
+    # theta1's for each row of theta2 values, theta2's at every point
+    count = len(sweep.points)
+    by_theta1 = lambda values: _Coded(values, sweep.shape[1], count)
+    by_theta2 = lambda values: _Coded(values, 1, count)
     # np.degrees rounds exactly as math.degrees does
     columns = _bell_fields(
         sweep.points,
-        _Coded(np.degrees(sweep.theta1), by_theta1),
-        _Coded(np.degrees(sweep.theta2), by_theta2),
-        _Coded(sweep.p_q_AB, by_theta1),
-        _Coded(sweep.p_q_AC, by_theta2),
+        by_theta1(np.degrees(sweep.theta1)),
+        by_theta2(np.degrees(sweep.theta2)),
+        by_theta1(sweep.p_q_AB),
+        by_theta2(sweep.p_q_AC),
     )
     results = {
         "grid_step_deg": config.grid_step_deg,
@@ -595,35 +614,40 @@ def _rounding_keys(values: np.ndarray) -> np.ndarray:
     return np.where(sure, np.copysign((e + 300) * 1e12 + digits, values), np.nan)
 
 
-def _distinct_cells(column, final=list) -> tuple[list[str], np.ndarray]:
+def _distinct_cells(column, final=list) -> tuple[list[str], np.ndarray | _Coded]:
     """The cell texts of one Table column, as _cell writes them, each once
     for a float64 or bool column, passed through final (texts to the list of
-    the format's texts), and the index of each row's text, as int32: a sweep
-    has at most MAX_SWEEP_POINTS rows.
+    the format's texts), and the index of each row's text: an int32 array (a
+    sweep has at most MAX_SWEEP_POINTS rows), or a coded column.
 
-    Distinct values are taken a block at a time, sorted by their bits, which
-    keeps -0.0 and 0.0 apart.  Values that round to one text are then
-    neighbours (NaNs are made one NaN first).  float64 values are grouped by
-    their 12-digit rounding first (_rounding_keys), and only the first value
-    of a group, or one whose key is not sure, is formatted: about once a
-    text.  A text is new where it differs from the one before, which also
+    A float64 column's distinct values are taken a block at a time, sorted
+    by their bits, which keeps -0.0 and 0.0 apart.  Values that round to one
+    text are then neighbours (NaNs are made one NaN first).  They are
+    grouped by their 12-digit rounding first (_rounding_keys), and only the
+    first value of a group, or one whose key is not sure, is formatted:
+    about once a text.  A text is new where it differs from the one before, which also
     joins groups of one text, such as 9.999999999995e-3's and 0.01's.  The
     0.5 degree sweep's bell_gap has 91,118 values in 130,321 rows but 43,420
     texts, from 43,521 calls (1 degree: 22,824, 10,896 and 10,919).
 
-    A coded column's texts are those of its values, one per value (so a
-    text may repeat), and its codes are the row index: no array per row is
-    made, and the caller must not write into the index."""
+    A bool column's texts are those present, false before true (their bit
+    order), and its index is read off the column without a sort.  A coded
+    column's texts are those of its values, one per value (so a text may
+    repeat), and the column itself stands for the row index: its codes()
+    are each row's index, so no array per row is made."""
     if isinstance(column, _Coded):
         texts, index = _distinct_cells(column.values, final)
-        return [texts[i] for i in index.tolist()], column.codes
-    if not (_is_column(column, np.float64) or _is_column(column, np.bool_)):
+        return [texts[i] for i in index.tolist()], column
+    if _is_column(column, np.bool_):
+        has_false, has_true = not column.all(), bool(column.any())
+        texts = final(["false"] * has_false + ["true"] * has_true)
+        # with false absent, every row reads the one text, true
+        return texts, column.astype(np.int32) if has_false else np.zeros(len(column), np.int32)
+    if not _is_column(column, np.float64):
         return final(map(_cell, column)), np.arange(len(column), dtype=np.int32)
-    floats = column.dtype == np.float64
-    cell = _number_text if floats else _cell
     if np.isnan(column).any():
         column = np.where(np.isnan(column), np.nan, column)
-    bits = column.view(f"i{column.itemsize}").flatten()
+    bits = column.view(np.int64).flatten()
     order = bits.argsort()
     bits = bits[order]
     # first: where a new value starts in sorted order, then where a new text does
@@ -633,17 +657,16 @@ def _distinct_cells(column, final=list) -> tuple[list[str], np.ndarray]:
     bits = bits[starts]
     texts, last, key = [], "", np.nan
     for start in range(0, len(bits), _BLOCK_ROWS):
-        values = bits[start:start + _BLOCK_ROWS].view(column.dtype)
+        values = bits[start:start + _BLOCK_ROWS].view(np.float64)
         # formatted where a key differs from the one before (NaN != NaN),
         # then marked where a text does
         formatted = np.ones(len(values), dtype=bool)
-        if floats:
-            keys = _rounding_keys(values)
-            np.not_equal(keys[1:], keys[:-1], out=formatted[1:])
-            formatted[0] = keys[0] != key
-            key = keys[-1]
+        keys = _rounding_keys(values)
+        np.not_equal(keys[1:], keys[:-1], out=formatted[1:])
+        formatted[0] = keys[0] != key
+        key = keys[-1]
         at = np.flatnonzero(formatted)
-        block = list(map(cell, values[at].tolist()))
+        block = list(map(_number_text, values[at].tolist()))
         changed = list(map(operator.ne, block, [last, *block]))
         formatted[at] = changed
         first[starts[start:start + len(values)]] = formatted
@@ -682,24 +705,52 @@ def _json_cells(column, before: str, after: str) -> tuple[np.ndarray, np.ndarray
     return np.array(texts, dtype=object), index
 
 
-def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray]]):
-    """The rows of a table as text, yielded as one string per block of
-    _BLOCK_ROWS rows.
+# Most bytes of UTF-8 in one write of table rows, unless a single row is
+# longer: under glibc's 128 KiB mmap threshold, so each piece and its encoded
+# copy reuse heap memory instead of mapping and unmapping pages every write.
+_WRITE_BYTES = 2**16
+
+
+def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray | _Coded]], opening=None):
+    """The rows of a table as text, gathered a block of _BLOCK_ROWS rows at
+    a time and yielded in pieces of at most _WRITE_BYTES bytes of UTF-8, or
+    of one row that is longer.
 
     columns holds one (texts, index) pair per column: an object array of
-    str and the index into it of each row's cell, all indexes of one length.
+    str and the index into it of each row's cell, an int32 array or a coded
+    column (whose codes are made a block at a time), all of one length.
     Row i is texts[index[i]] of the first column + that of the second + ...:
     each text carries the separator before its cell, and the last column's
-    the row end too.  Cells are gathered a block at a time, so no whole
-    column of them is ever held."""
+    the row end too.  opening, when given, takes the place of the first
+    character of the first row.  Cells are gathered a block at a time, so no
+    whole column of them is ever held.
+
+    A piece holds one row at first, then as many rows as would fill 7/8 of
+    the bound at the mean row size of the piece before, but at most twice as
+    many as that piece, so a trial piece stays near the bound; while a piece
+    is over the bound, it is joined again from half as many rows."""
     count = len(columns[0][1])
     block = np.empty((min(count, _BLOCK_ROWS), len(columns)), dtype=object)
+    step = 1
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(count, start + _BLOCK_ROWS)
         rows = block[: stop - start]
         for j, (texts, index) in enumerate(columns):
-            rows[:, j] = texts[index[start:stop]]
-        yield "".join(rows.ravel().tolist())
+            rows[:, j] = texts[index.codes(start, stop) if isinstance(index, _Coded)
+                               else index[start:stop]]
+        if start == 0 and opening is not None:
+            rows[0, 0] = opening + rows[0, 0][1:]
+        at = 0
+        while at < len(rows):
+            part = rows[at:at + step]
+            piece = "".join(part.ravel().tolist())
+            size = len(piece) if piece.isascii() else len(piece.encode())
+            if size > _WRITE_BYTES and step > 1:
+                step //= 2
+                continue
+            yield piece
+            at += len(part)
+            step = max(1, min(2 * len(part), len(part) * _WRITE_BYTES * 7 // (size * 8)))
 
 
 # Rows whose cell texts a renderer builds and holds at a time, in every
@@ -713,15 +764,11 @@ def _table_rows(table: Table, cells, rows=_row_blocks):
     """The rows of a table as text chunks, a render block of _RENDER_ROWS
     rows at a time: rows(block) of the list of cells(j, part) of each column
     j, part being the column's rows in the block (a coded column keeps all
-    its values and cuts its codes).  Each block is handed straight to rows,
-    so its texts are dropped before the next block's are built."""
+    its values).  Each block is handed straight to rows, so its texts are
+    dropped before the next block's are built."""
     for start in range(0, len(table), _RENDER_ROWS):
         part = slice(start, start + _RENDER_ROWS)
-        yield from rows([
-            cells(j, _Coded(column.values, column.codes[part])
-                  if isinstance(column, _Coded) else column[part])
-            for j, column in enumerate(table.columns)
-        ])
+        yield from rows([cells(j, column[part]) for j, column in enumerate(table.columns)])
 
 
 def _json_rows(table: Table, indent: str):
@@ -732,13 +779,14 @@ def _json_rows(table: Table, indent: str):
         return
     inner = indent + "  "
     keys = [json.dumps(key) + ": " for key in table.header]
-    # each row opens with the comma after the row before; the first with "["
+    # each row opens with the comma after the row before; the first, in the
+    # first render block, with "[" in its place
     befores = [",\n" + inner + "{\n" + inner + "  " + keys[0]]
     befores += [",\n" + inner + "  " + key for key in keys[1:]]
     afters = [""] * (len(keys) - 1) + ["\n" + inner + "}"]
-    chunks = _table_rows(table, lambda j, rows: _json_cells(rows, befores[j], afters[j]))
-    yield "[" + next(chunks)[1:]
-    yield from chunks
+    openings = iter(["["])
+    yield from _table_rows(table, lambda j, rows: _json_cells(rows, befores[j], afters[j]),
+                           lambda columns: _row_blocks(columns, next(openings, None)))
     yield "\n" + indent + "]"
 
 
@@ -871,9 +919,10 @@ def _text_cells(block: list, widths: list[int]) -> list[tuple[np.ndarray, np.nda
         lead, end = "  " if j else "", "\n" if j == len(widths) - 1 else ""
         padded = [] if end else [lead + t.ljust(widths[j]) for t in texts]
         if ends_here.any():
+            if isinstance(index, _Coded):
+                index = index.codes(0, len(index))
             cut = [(lead + t).rstrip() + end for t in texts]
             blank = np.array([c == end for c in cut], dtype=bool)[index]
-            # a new array: a coded column's index is its codes
             index = np.where(ends_here, index + len(padded), index)
             ends_here &= blank
             padded += cut
@@ -888,7 +937,7 @@ _RENDERERS = {"json": _render_json, "csv": _render_csv, "text": _render_text}
 
 def _chunks(env: ReportEnvelope, fmt: str):
     """The report as an iterator of strings: the head of the envelope, each
-    block of table rows as it is joined, then the tail."""
+    piece of table rows as it is joined (_row_blocks), then the tail."""
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown format {fmt!r}")
     return _RENDERERS[fmt](env)

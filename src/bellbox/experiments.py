@@ -178,17 +178,17 @@ class BellSweep:
 
 # Largest grid a sweep evaluates: a 0.1 degree grid over [0, 180] squared
 # (1801 x 1801 = 3,243,601 points) fits, 0.05 degree does not.  The cap
-# bounds a report's time, not its memory: the bell-sweep report holds 25
-# bytes a point beside one render block's cell texts (at 0.1 degrees 126 to
-# 135 MiB in all, and 4 to 8 s).
+# bounds a report's time, not its memory: the bell-sweep report holds 17
+# bytes a point beside one render block's cell texts (at 0.1 degrees 105 to
+# 114 MiB in all, and 5 to 7 s).
 MAX_SWEEP_POINTS = 4_000_000
 _TOO_FINE = f"grid step too fine: more than {MAX_SWEEP_POINTS:,} points"
-# Grid points a sweep computes, and report rows the cli joins into one write
-# or distinct values it formats, at a time: enough to make the per-block
-# cost small, few enough that a block's temporaries stay far under the
-# whole grid's.  The cli builds cell texts for a render block of
-# cli._RENDER_ROWS (2**17) rows at a time, and joins them these many rows
-# at a time.
+# Grid points a sweep computes, and report rows the cli gathers or distinct
+# values it formats, at a time: enough to make the per-block cost small, few
+# enough that a block's temporaries stay far under the whole grid's.  The
+# cli builds cell texts for a render block of cli._RENDER_ROWS (2**17) rows
+# at a time, gathers them these many rows at a time, and writes a gathered
+# block in pieces of at most cli._WRITE_BYTES.
 _BLOCK_ROWS = 8192
 # Most draws one Monte Carlo call makes.  A shard's draws are held as arrays
 # of about 16 bytes each: a report at the cap peaks at about 190 MB.

@@ -476,16 +476,28 @@ AWKWARD = ("a,b", 'say "hi"', "", "two\nlines", "tab\t", "pad  ", " ", "plain")
 
 
 def _expanded(column):
-    """A Table column with one value a row: a coded column's values[codes]."""
-    return column.values[column.codes] if isinstance(column, cli._Coded) else column
+    """A Table column with one value a row: a coded column's values at its
+    codes."""
+    return column.values[column.codes(0, len(column))] if isinstance(column, cli._Coded) else column
+
+
+def _expanded_env(env: cli.ReportEnvelope) -> cli.ReportEnvelope:
+    """env with the coded columns of its table and of its points expanded."""
+    expand = lambda table: dataclasses.replace(table, columns=tuple(map(_expanded, table.columns)))
+    results = dict(env.results, points=expand(env.results["points"]))
+    return dataclasses.replace(env, results=results, table=expand(env.table))
 
 
 def _sweep_env(rows: int) -> cli.ReportEnvelope:
     """A bell-sweep report cut or repeated to rows points; its CSV and text
-    table has one more column, of AWKWARD strings.  Coded columns are
-    expanded to one value a row first."""
+    table has one more column, of AWKWARD strings.  Repeated, a coded column
+    stays coded, as its rows repeat as np.resize repeats them, and its codes
+    run across every row block and render block; cut, it is expanded to one
+    value a row, as a coded column's values must each be used by a row."""
     env = run(parse_args(["bell-sweep", "--grid-step", "15"]))
-    columns = tuple(np.resize(_expanded(column), rows) for column in env.table.columns)
+    columns = tuple(dataclasses.replace(column, length=rows)
+                    if isinstance(column, cli._Coded) and rows >= len(column)
+                    else np.resize(_expanded(column), rows) for column in env.table.columns)
     notes = tuple(AWKWARD[i % len(AWKWARD)] for i in range(rows - 1))
     # the widest note is in the last row, so the text widths must see every block
     notes += ("the widest note, in the last row",) if rows else ()
@@ -498,7 +510,12 @@ def _sweep_env(rows: int) -> cli.ReportEnvelope:
 @pytest.mark.parametrize("fmt", sorted(RENDERERS))
 def test_render_matches_oracle_at_block_edges(fmt, rows, monkeypatch):
     env = _sweep_env(rows)
-    want = RENDERERS[fmt](env)
+    want = RENDERERS[fmt](_expanded_env(env))
+    # the coded columns as one value a row, from np.resize of the expanded
+    # 15 degree columns
+    resized = [np.resize(_expanded(column), rows) for column in run(
+        parse_args(["bell-sweep", "--grid-step", "15"])).table.columns]
+    assert all(map(np.array_equal, map(_expanded, env.table.columns), resized))
     assert render(env, fmt) == want
     # across render-block edges too: at 64 rows a render block, the tables
     # of block edges +-1 rows end in a part block, of one row at 8193
@@ -518,8 +535,8 @@ def _traced_sweep(step: str, fmt: str) -> tuple[int, int]:
         tracemalloc.stop()
     arrays = {}
     for column in env.table.columns:
-        for array in (column.values, column.codes) if isinstance(column, cli._Coded) else (column,):
-            arrays[id(array)] = array.nbytes
+        array = column.values if isinstance(column, cli._Coded) else column
+        arrays[id(array)] = array.nbytes
     return peak, sum(arrays.values())
 
 
@@ -527,9 +544,9 @@ def _traced_sweep(step: str, fmt: str) -> tuple[int, int]:
 def test_peak_memory_follows_the_render_block(fmt, monkeypatch):
     # 4141 rows a render block: the 2 degree sweep (8,281 points) is 2 blocks
     # and the 1 degree sweep (32,761 points) 8.  Less the columns the report
-    # holds (25 bytes a point: p_bc, bell_gap and violated, and the two
-    # axis codes), the 8-block report must peak within 0.25 MiB of the
-    # 2-block one.  Holding the whole grid's cell texts added about 0.9 MiB
+    # holds (17 bytes a point: p_bc, bell_gap and violated; the axis
+    # columns hold one value an axis point), the 8-block report must peak
+    # within 0.25 MiB of the 2-block one.  Holding the whole grid's cell texts added about 0.9 MiB
     # more, and its 49-byte records would add 1.1 MiB.
     monkeypatch.setattr(cli, "_RENDER_ROWS", 4141)
     two, held_two = _traced_sweep("2", fmt)
@@ -633,25 +650,30 @@ def test_distinct_cells_keeps_each_text_once(column):
 
 @st.composite
 def coded_columns(draw, rows, finite=True):
-    """A coded float64 column of rows rows: near-duplicate values, each used
-    by at least one row."""
-    values = draw(st.integers(min(rows, 1), min(rows, 40)).flatmap(
-        lambda size: near_duplicate_columns(size, finite)))
-    extra = [draw(st.integers(0, len(values) - 1)) for _ in range(rows - len(values))]
-    codes = draw(st.permutations(extra + list(range(len(values)))))
-    return cli._Coded(values, np.array(codes, dtype=np.int32))
+    """A coded float64 column of rows rows: near-duplicate values, each for
+    every rows at a time, cycled from a drawn offset, and each used by at
+    least one row."""
+    every = draw(st.integers(1, 4))
+    # rows of size * every hold every value
+    size = draw(st.integers(min(rows, 1), max(min(rows, 1), min(rows // every, 40))))
+    values = draw(near_duplicate_columns(size, finite))
+    return cli._Coded(values, every, rows, draw(st.integers(0, 2 * size * every)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 80).flatmap(lambda rows: coded_columns(rows, finite=False)))
 def test_coded_column_cells_are_those_of_its_rows(column):
     texts, index = cli._distinct_cells(column)
-    want_texts, want_index = cli._distinct_cells(column.values[column.codes])
-    # one text per value, and the codes themselves as the row index
+    want_texts, want_index = cli._distinct_cells(_expanded(column))
+    # one text per value, and the column itself as the row index
     assert len(texts) == len(column.values)
-    assert index is column.codes
+    assert index is column
     assert set(texts) == set(want_texts)
-    assert [texts[i] for i in index] == [want_texts[i] for i in want_index]
+    codes = index.codes(0, len(index))
+    assert [texts[i] for i in codes] == [want_texts[i] for i in want_index]
+    # a cut of the column, as a render block takes, keeps its rows' codes
+    cut = len(column) // 3
+    assert np.array_equal(column[cut:].codes(0, len(column) - cut), codes[cut:])
 
 
 @st.composite
@@ -673,12 +695,12 @@ def test_coded_columns_render_as_their_rows(drawn):
         table = cli.Table(points.header + ("note",), points.columns + (notes,), ("points",))
         return _envelope({"points": points}, table)
 
-    codes = [column.codes.copy() for column in columns]
+    values = [column.values.copy() for column in columns]
     expanded = env_of([_expanded(column) for column in columns])
     for fmt in sorted(RENDERERS):
         assert render(env_of(columns), fmt) == RENDERERS[fmt](expanded)
-    # rendering leaves the codes, which it uses as row indexes, as they were
-    assert all(map(np.array_equal, codes, (column.codes for column in columns)))
+    # rendering leaves the values, whose texts it indexes, as they were
+    assert all(map(np.array_equal, values, (column.values for column in columns)))
 
 
 @pytest.mark.parametrize("step", ["15", "1", "0.5"])
@@ -694,9 +716,12 @@ def test_sweep_axis_columns_are_coded_by_axis(step):
             assert isinstance(column, np.ndarray), key
             continue
         assert isinstance(column, cli._Coded), key
-        assert column.codes.dtype == np.int32
-        assert len(column.values) == per_axis == len(np.unique(column.codes)), key
-        assert column.values[column.codes].tobytes() == replaced[key].tobytes(), key
+        # no array a row is held: the codes are made when asked for
+        assert [a for a in vars(column).values() if isinstance(a, np.ndarray)] == [column.values]
+        codes = column.codes(0, len(column))
+        assert codes.dtype == np.int32
+        assert len(column.values) == per_axis == len(np.unique(codes)), key
+        assert column.values[codes].tobytes() == replaced[key].tobytes(), key
 
 
 def test_distinct_cells_joins_texts_across_a_block_edge():
@@ -825,7 +850,6 @@ def test_json_numbers_match_oracle_at_layout_edges():
 
 @pytest.mark.parametrize("fmt", sorted(RENDERERS))
 def test_report_is_written_a_block_at_a_time(fmt, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
     writes = []
 
     class Recorder(io.StringIO):
@@ -833,12 +857,19 @@ def test_report_is_written_a_block_at_a_time(fmt, tmp_path, monkeypatch):
             writes.append(text)
             return super().write(text)
 
+    def written(env) -> str:
+        """env's report, checked to be what emit writes to stdout, as the
+        writes recorded, and to a file."""
+        writes.clear()
+        cli.emit(env, fmt)
+        cli.emit(env, fmt, str(tmp_path / "report"))
+        whole = render(env, fmt)
+        assert "".join(writes) == whole == (tmp_path / "report").read_text()
+        return whole
+
     monkeypatch.setattr(sys, "stdout", Recorder())
-    env = run(parse_args(["bell-sweep", "--grid-step", "5"]))
-    cli.emit(env, fmt)
-    cli.emit(env, fmt, str(tmp_path / "report"))
-    whole = render(env, fmt)
-    assert "".join(writes) == whole == (tmp_path / "report").read_text()
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
+    whole = written(run(parse_args(["bell-sweep", "--grid-step", "5"])))
     assert len(writes) > 1
     # the envelope without rows, and the longest row: a JSON row is an
     # object of one line per key and two for its braces
@@ -846,6 +877,25 @@ def test_report_is_written_a_block_at_a_time(fmt, tmp_path, monkeypatch):
     row = max(map(len, whole.splitlines(keepends=True)))
     row *= len(cli.BELL_POINT_KEYS) + 2 if fmt == "json" else 1
     assert max(map(len, writes)) <= head + cli._BLOCK_ROWS * row < len(whole) / 4
+
+    # a block of 8,192 rows is written in pieces of at most _WRITE_BYTES
+    # bytes: the 2 degree sweep (8,281 rows) is 2 blocks
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", BLOCK)
+    whole = written(run(parse_args(["bell-sweep", "--grid-step", "2"])))
+    assert len(whole) > 8 * cli._WRITE_BYTES
+    assert max(len(w.encode()) for w in writes) <= cli._WRITE_BYTES
+    if fmt == "json":
+        return
+    # unless a single row is longer: a note of more bytes than the bound,
+    # though of fewer characters, is written alone, its neighbours apart
+    env = _sweep_env(2000)
+    notes = list(env.table.columns[-1])
+    notes[1000] = "\u00e9" * (cli._WRITE_BYTES // 2 + 1)
+    env = dataclasses.replace(env, table=dataclasses.replace(
+        env.table, columns=env.table.columns[:-1] + (tuple(notes),)))
+    written(env)
+    long = [w for w in writes if len(w.encode()) > cli._WRITE_BYTES]
+    assert len(long) == 1 and long[0].count("\n") == 1 and long[0].endswith(notes[1000] + "\n")
 
 
 @pytest.mark.parametrize("fmt", sorted(RENDERERS))
