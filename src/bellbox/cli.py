@@ -80,6 +80,10 @@ class Table:
     a fixed pattern, as a sweep holds a column that reads one axis.  covers
     lists the top-level results keys the table already presents, so the
     text format does not repeat them as scalar lines.
+
+    The text format cuts no line, so a line keeps any trailing whitespace
+    its cells have; no report's cell has any (each is a number, a bool, a
+    fraction or a fixed ASCII name).
     """
 
     header: tuple[str, ...]
@@ -711,7 +715,7 @@ def _json_cells(column, before: str, after: str) -> tuple[np.ndarray, np.ndarray
 _WRITE_BYTES = 2**16
 
 
-def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray | _Coded]], opening=None):
+def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray | _Coded]]):
     """The rows of a table as text, gathered a block of _BLOCK_ROWS rows at
     a time and yielded in pieces of at most _WRITE_BYTES bytes of UTF-8, or
     of one row that is longer.
@@ -721,9 +725,8 @@ def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray | _Coded]], opening=N
     column (whose codes are made a block at a time), all of one length.
     Row i is texts[index[i]] of the first column + that of the second + ...:
     each text carries the separator before its cell, and the last column's
-    the row end too.  opening, when given, takes the place of the first
-    character of the first row.  Cells are gathered a block at a time, so no
-    whole column of them is ever held.
+    the row end too.  Cells are gathered a block at a time, so no whole
+    column of them is ever held.
 
     A piece holds one row at first, then as many rows as would fill 7/8 of
     the bound at the mean row size of the piece before, but at most twice as
@@ -738,8 +741,6 @@ def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray | _Coded]], opening=N
         for j, (texts, index) in enumerate(columns):
             rows[:, j] = texts[index.codes(start, stop) if isinstance(index, _Coded)
                                else index[start:stop]]
-        if start == 0 and opening is not None:
-            rows[0, 0] = opening + rows[0, 0][1:]
         at = 0
         while at < len(rows):
             part = rows[at:at + step]
@@ -779,14 +780,14 @@ def _json_rows(table: Table, indent: str):
         return
     inner = indent + "  "
     keys = [json.dumps(key) + ": " for key in table.header]
-    # each row opens with the comma after the row before; the first, in the
-    # first render block, with "[" in its place
+    # each row opens with the comma after the row before; the first with "["
+    # in its place, in the first piece, which is that row alone (_row_blocks)
     befores = [",\n" + inner + "{\n" + inner + "  " + keys[0]]
     befores += [",\n" + inner + "  " + key for key in keys[1:]]
     afters = [""] * (len(keys) - 1) + ["\n" + inner + "}"]
-    openings = iter(["["])
-    yield from _table_rows(table, lambda j, rows: _json_cells(rows, befores[j], afters[j]),
-                           lambda columns: _row_blocks(columns, next(openings, None)))
+    chunks = _table_rows(table, lambda j, rows: _json_cells(rows, befores[j], afters[j]))
+    yield "[" + next(chunks)[1:]
+    yield from chunks
     yield "\n" + indent + "]"
 
 
@@ -882,15 +883,27 @@ def _render_text(env: ReportEnvelope):
 
 def _text_table(table: Table):
     """The table as lines of text, in chunks: the header, then one line per
-    row.  Each column is padded to its widest cell, columns are two spaces
-    apart, and each line loses its trailing whitespace.
+    row.  Every column but the last is padded to its widest cell, and
+    columns are two spaces apart; no line is cut.
 
     The widths come before the first row.  A table of one render block
     takes them from its cell texts; a longer one from a first pass over its
     blocks that keeps only each column's widest text."""
     header = [str(h) for h in table.header]
     widths = list(map(len, header))
-    lines = lambda block: _row_blocks(_text_cells(block, widths))
+    last = len(header) - 1
+
+    def padded(j, texts, index):
+        lead, end = "  " if j else "", "\n" if j == last else ""
+        width = 0 if end else widths[j]
+        return np.array([lead + t.ljust(width) + end for t in texts], dtype=object), index
+
+    def lines(block):
+        # popped, last column first, so a column's bare texts go once its
+        # padded texts are built
+        columns = [padded(j, *block.pop()) for j in reversed(range(len(header)))]
+        return _row_blocks(columns[::-1])
+
     if len(table) <= _RENDER_ROWS:
         block = [_distinct_cells(column) for column in table.columns]
         widths = [max(w, max(map(len, texts), default=0)) for w, (texts, _) in zip(widths, block)]
@@ -900,35 +913,8 @@ def _text_table(table: Table):
         for block_widths in _table_rows(table, widest, rows=lambda block: [block]):
             widths = list(map(max, widths, block_widths))
         body = _table_rows(table, lambda j, rows: _distinct_cells(rows), lines)
-    yield "  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
+    yield "  ".join([*map(str.ljust, header[:last], widths), header[last]]) + "\n"
     yield from body
-
-
-def _text_cells(block: list, widths: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_row_blocks' columns for one render block of the text table, from
-    each column's (texts, index), which are popped from block as used."""
-    columns = []
-    # rows whose cells right of the current column are all blank: the line
-    # ends in this column, cut after its last non-blank character.  Such a
-    # row's index points past the padded texts, to the cut ones.  In the
-    # last column every row is one: it has only cut texts, with the line end.
-    ends_here = np.ones(len(block[0][1]), dtype=bool)
-    for j in reversed(range(len(widths))):
-        # popped, so a column's bare texts go once its own are built
-        texts, index = block.pop()
-        lead, end = "  " if j else "", "\n" if j == len(widths) - 1 else ""
-        padded = [] if end else [lead + t.ljust(widths[j]) for t in texts]
-        if ends_here.any():
-            if isinstance(index, _Coded):
-                index = index.codes(0, len(index))
-            cut = [(lead + t).rstrip() + end for t in texts]
-            blank = np.array([c == end for c in cut], dtype=bool)[index]
-            index = np.where(ends_here, index + len(padded), index)
-            ends_here &= blank
-            padded += cut
-        columns.append((np.array(padded, dtype=object), index))
-    columns.reverse()
-    return columns
 
 
 # the --format choices, in the order --help lists them

@@ -10,7 +10,8 @@ then have closed forms
     p_BC = sin^2((theta2 - theta1) / 2) / 2
     p_AC = sin^2(theta2 / 2) / 2
 
-which every code path here cross-checks against the state-vector computation.
+quantum_bell_point cross-checks them against the state-vector computation;
+quantum_bell_sweep evaluates them alone, over the grid.
 
 Monte Carlo determinism: estimates depend only on (seed, shards).  Each shard
 draws from an independent stream seeded with the pair [seed, shard index], so
@@ -167,14 +168,6 @@ class BellSweep:
     def shape(self) -> tuple[int, int]:
         return len(self.theta1), len(self.theta2)
 
-    @property
-    def min_gap(self) -> float:
-        return self.minimum.bell_gap
-
-    @property
-    def argmin(self) -> tuple[float, float]:
-        return (self.minimum.theta1, self.minimum.theta2)
-
 
 # Largest grid a sweep evaluates: a 0.1 degree grid over [0, 180] squared
 # (1801 x 1801 = 3,243,601 points) fits, 0.05 degree does not.  The cap
@@ -183,12 +176,9 @@ class BellSweep:
 # 114 MiB in all, and 5 to 7 s).
 MAX_SWEEP_POINTS = 4_000_000
 _TOO_FINE = f"grid step too fine: more than {MAX_SWEEP_POINTS:,} points"
-# Grid points a sweep computes, and report rows the cli gathers or distinct
-# values it formats, at a time: enough to make the per-block cost small, few
-# enough that a block's temporaries stay far under the whole grid's.  The
-# cli builds cell texts for a render block of cli._RENDER_ROWS (2**17) rows
-# at a time, gathers them these many rows at a time, and writes a gathered
-# block in pieces of at most cli._WRITE_BYTES.
+# About how many grid points a sweep computes at a time: enough to make the
+# per-block cost small, few enough that a block's temporaries stay far under
+# the whole grid's.  The cli reads it too, for blocks of its own.
 _BLOCK_ROWS = 8192
 # Most draws one Monte Carlo call makes.  A shard's draws are held as arrays
 # of about 16 bytes each: a report at the cap peaks at about 190 MB.

@@ -9,10 +9,12 @@ bits, since reports print their residues.  bell_sweep_records is
 bellbox's earlier sweep, which built each field over the whole grid and
 then copied them into records; quantum_bell_sweep computes a block of rows
 at a time and holds each one-angle field once per axis value, and
-sweep_records must expand what it holds to the same bytes.  The render_* functions are bellbox's earlier per-row
-renderers: csv.writer for CSV, one %-template per row for the text table
-and for the JSON rows of a Table inside results.  cli renders whole blocks
-of rows at a time and must write the same bytes."""
+sweep_records must expand what it holds to the same bytes.  The render_*
+functions render a report a row at a time: csv.writer for CSV, and one
+%-template per row for the text table and for the JSON rows of a Table
+inside results.  The text template pads every column but the last to its
+widest cell and cuts nothing from a line.  cli renders whole blocks of rows
+at a time and must write the same bytes."""
 
 import csv
 import io
@@ -175,8 +177,8 @@ def render_text(env: cli.ReportEnvelope) -> str:
         [str(h), *_cells(column)]
         for h, column in zip(env.table.header, env.table.columns)
     ]
-    template = "  ".join(f"%-{max(map(len, cells))}s" for cells in columns)
-    lines.extend(line.rstrip() for line in map(template.__mod__, zip(*columns)))
+    template = "".join(f"%-{max(map(len, cells))}s  " for cells in columns[:-1]) + "%s"
+    lines.extend(map(template.__mod__, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 

@@ -172,10 +172,10 @@ def test_07_half_degree_sweep_minimum(capsys):
     def check():
         start = time.perf_counter()
         sweep = quantum_bell_sweep(math.radians(0.5))
-        assert abs(sweep.min_gap + 0.125) <= 1e-6
+        assert abs(sweep.minimum.bell_gap + 0.125) <= 1e-6
         cell = 0.5 + 1e-9
-        assert abs(math.degrees(sweep.argmin[0]) - T1_DEG) <= cell
-        assert abs(math.degrees(sweep.argmin[1]) - T2_DEG) <= cell
+        assert abs(math.degrees(sweep.minimum.theta1) - T1_DEG) <= cell
+        assert abs(math.degrees(sweep.minimum.theta2) - T2_DEG) <= cell
         assert time.perf_counter() - start < 30.0
 
     _report(capsys, 7, "half-degree sweep pins the minimum gap", check)

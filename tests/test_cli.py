@@ -471,7 +471,8 @@ def test_stdout_bytes_are_pinned(argv, monkeypatch):
 
 
 BLOCK = cli._BLOCK_ROWS
-# cells that csv.writer quotes or that rstrip cuts from the end of a line
+# cells that csv.writer quotes, and blank or whitespace-ended ones, which a
+# text line must keep as they are, padded or at its end
 AWKWARD = ("a,b", 'say "hi"', "", "two\nlines", "tab\t", "pad  ", " ", "plain")
 
 
@@ -490,16 +491,18 @@ def _expanded_env(env: cli.ReportEnvelope) -> cli.ReportEnvelope:
 
 def _sweep_env(rows: int) -> cli.ReportEnvelope:
     """A bell-sweep report cut or repeated to rows points; its CSV and text
-    table has one more column, of AWKWARD strings.  Repeated, a coded column
-    stays coded, as its rows repeat as np.resize repeats them, and its codes
-    run across every row block and render block; cut, it is expanded to one
-    value a row, as a coded column's values must each be used by a row."""
+    table has one more column, of AWKWARD strings, so some text lines end in
+    whitespace, which they keep.  Repeated, a coded column stays coded, as
+    its rows repeat as np.resize repeats them, and its codes run across
+    every row block and render block; cut, it is expanded to one value a
+    row, as a coded column's values must each be used by a row."""
     env = run(parse_args(["bell-sweep", "--grid-step", "15"]))
     columns = tuple(dataclasses.replace(column, length=rows)
                     if isinstance(column, cli._Coded) and rows >= len(column)
                     else np.resize(_expanded(column), rows) for column in env.table.columns)
     notes = tuple(AWKWARD[i % len(AWKWARD)] for i in range(rows - 1))
-    # the widest note is in the last row, so the text widths must see every block
+    # the widest note is in the last row; the last column is not padded, so
+    # no line before it takes that width
     notes += ("the widest note, in the last row",) if rows else ()
     results = dict(env.results, points=cli.Table(cli.BELL_POINT_KEYS, columns))
     table = cli.Table(env.table.header + ("note",), columns + (notes,), env.table.covers)
@@ -554,7 +557,7 @@ def test_peak_memory_follows_the_render_block(fmt, monkeypatch):
     assert eight - held_eight <= two - held_two + 2**18
 
 
-# header and cell texts: CSV specials, whitespace rstrip may cut, and %.
+# header and cell texts: CSV specials, whitespace a text line keeps, and %.
 # A lone "\r" is left out of the CSV cells: csv.writer quotes it or not
 # depending on the Python version, and _csv_field pins the 3.11 rule
 # (test_csv_field_rule).
@@ -679,7 +682,8 @@ def test_coded_column_cells_are_those_of_its_rows(column):
 @st.composite
 def coded_tables(draw):
     """(coded columns of one length and a column of AWKWARD notes of that
-    length): blank notes make lines end inside a coded column."""
+    length): a blank note leaves a coded column's padded cell and the
+    separator after it at the end of a line."""
     rows = draw(st.integers(0, 30))
     columns = [draw(coded_columns(rows)) for _ in range(draw(st.integers(1, 3)))]
     return columns, tuple(draw(st.lists(st.sampled_from(AWKWARD), min_size=rows, max_size=rows)))
@@ -905,8 +909,11 @@ def test_output_file_holds_the_stdout_bytes(argv, fmt, tmp_path, capsys):
     env = run(parse_args(argv + ["--format", fmt, "--output", str(target)]))
     cli.emit(env, fmt)
     cli.emit(env, fmt, str(target))
-    assert target.read_bytes() == capsys.readouterr().out.encode()
+    out = capsys.readouterr().out
+    assert target.read_bytes() == out.encode()
     assert list(tmp_path.iterdir()) == [target]
+    # the text table cuts no line, so it relies on cells without trailing whitespace
+    assert fmt != "text" or all(line == line.rstrip() for line in out.split("\n"))
 
 
 _born, _closed_form = experiments.joint_outcome_prob, experiments._closed_form_probs
@@ -1203,5 +1210,9 @@ def test_fuzzed_argv_gives_a_report_or_a_usage_error(argv):
         assert first[0] in (0, 1), first
         assert "Traceback" not in first[2]
         assert _run_main(argv, Path(tmp)) == first
+        # no line of a text report, on stdout or in a file, ends in whitespace
+        for report in [first[1], *(report.decode() for report in first[3].values())]:
+            if report.startswith(f"{cli.TOOL_NAME} {argv[0]}\n"):
+                assert all(line == line.rstrip() for line in report.split("\n"))
         # no temporary file is left, whether the run wrote a report or not
         assert os.listdir(tmp) == []

@@ -156,9 +156,9 @@ class TestBellSweep:
     def test_one_degree_sweep_finds_the_minimum(self):
         sweep = quantum_bell_sweep(math.radians(1.0))
         assert len(sweep.points) == 181 * 181
-        assert sweep.min_gap == pytest.approx(-0.125, abs=1e-9)
-        assert sweep.argmin[0] == pytest.approx(REF_T1, abs=1e-9)
-        assert sweep.argmin[1] == pytest.approx(REF_T2, abs=1e-9)
+        assert sweep.minimum.bell_gap == pytest.approx(-0.125, abs=1e-9)
+        assert sweep.minimum.theta1 == pytest.approx(REF_T1, abs=1e-9)
+        assert sweep.minimum.theta2 == pytest.approx(REF_T2, abs=1e-9)
 
     def test_grid_order_and_pointwise_agreement(self):
         sweep = quantum_bell_sweep(math.radians(5.0))
