@@ -20,13 +20,18 @@ def _defined(statement: ast.stmt) -> list[str]:
 def _read(node: ast.AST) -> set[str]:
     """The names node reads: bare names, and attributes such as
     experiments._axis_count.  An import alone reads nothing."""
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
 
 
 def test_every_private_name_has_a_reader():
-    # (module, name) for each private definition, and the names each
-    # module-level statement reads, keyed by (module, statement index)
+    # (module, statement index, name) for each private definition, and the
+    # names each module-level statement reads, keyed by (module, index)
     private, reads = [], {}
     for path in SOURCES:
         for i, statement in enumerate(ast.parse(path.read_text()).body):
