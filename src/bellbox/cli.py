@@ -75,11 +75,11 @@ class Table:
 
     columns holds one sequence per header entry, all of one length; each
     distinct value of a float64 or bool array is formatted once per render
-    block (_RENDER_ROWS rows) it appears in.  A column
-    may be coded (_Coded): its values, each formatted once, read by rows in
-    a fixed pattern, as a sweep holds a column that reads one axis.  covers
-    lists the top-level results keys the table already presents, so the
-    text format does not repeat them as scalar lines.
+    block (_RENDER_ROWS rows) it appears in, twice in the text format's later
+    blocks.  A column may be coded (_Coded): its values, each formatted once,
+    read by rows in a fixed pattern, as a sweep holds a column that reads one
+    axis.  covers lists the top-level results keys the table already presents,
+    so the text format does not repeat them as scalar lines.
 
     The text format cuts no line, so a line keeps any trailing whitespace
     its cells have; no report's cell has any (each is a number, a bool, a
@@ -328,19 +328,18 @@ def _cmd_bell_sweep(config: RunConfig):
     # the fields that read one angle are coded by that angle's grid index:
     # theta1's for each row of theta2 values, theta2's at every point
     count = len(sweep.points)
-    by_theta1 = lambda values: _Coded(values, sweep.shape[1], count)
-    by_theta2 = lambda values: _Coded(values, 1, count)
-    # np.degrees rounds exactly as math.degrees does
+    # np.degrees rounds exactly as math.degrees does; theta2 is theta1
+    degrees = np.degrees(sweep.theta1)
     columns = _bell_fields(
         sweep.points,
-        by_theta1(np.degrees(sweep.theta1)),
-        by_theta2(np.degrees(sweep.theta2)),
-        by_theta1(sweep.p_q_AB),
-        by_theta2(sweep.p_q_AC),
+        _Coded(degrees, sweep.shape[1], count),
+        _Coded(degrees, 1, count),
+        _Coded(sweep.p_q_AB, sweep.shape[1], count),
+        _Coded(sweep.p_q_AC, 1, count),
     )
     results = {
         "grid_step_deg": config.grid_step_deg,
-        "point_count": len(sweep.points),
+        "point_count": count,
         "min_gap": minimum.bell_gap,
         "argmin_theta1_deg": math.degrees(minimum.theta1),
         "argmin_theta2_deg": math.degrees(minimum.theta2),
@@ -693,7 +692,7 @@ def _json_number(text: str) -> str:
     return text if "." in text else text + ".0"
 
 
-def _json_cells(column, before: str, after: str) -> tuple[np.ndarray, np.ndarray]:
+def _json_cells(column, before: str, after: str) -> tuple[list[str], np.ndarray | _Coded]:
     """The JSON text of each value in one Table column, as json.dumps writes
     _jsonify's copy of it, between before and after: the distinct texts and
     each row's index into them; finite float64 and bool columns only, or
@@ -705,8 +704,7 @@ def _json_cells(column, before: str, after: str) -> tuple[np.ndarray, np.ndarray
         final = lambda texts: [before + t + after for t in texts]
     else:
         raise TypeError("a Table inside results needs finite float64 or bool columns")
-    texts, index = _distinct_cells(column, final)
-    return np.array(texts, dtype=object), index
+    return _distinct_cells(column, final)
 
 
 # Most bytes of UTF-8 in one write of table rows, unless a single row is
@@ -715,43 +713,39 @@ def _json_cells(column, before: str, after: str) -> tuple[np.ndarray, np.ndarray
 _WRITE_BYTES = 2**16
 
 
-def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray | _Coded]]):
+def _row_blocks(columns: list[tuple[list[str], np.ndarray | _Coded]]):
     """The rows of a table as text, gathered a block of _BLOCK_ROWS rows at
     a time and yielded in pieces of at most _WRITE_BYTES bytes of UTF-8, or
     of one row that is longer.
 
-    columns holds one (texts, index) pair per column: an object array of
-    str and the index into it of each row's cell, an int32 array or a coded
-    column (whose codes are made a block at a time), all of one length.
+    columns holds one (texts, index) pair per column: a list of str and the
+    index into it of each row's cell, an int32 array or a coded column
+    (whose codes are made a block at a time), all of one length.
     Row i is texts[index[i]] of the first column + that of the second + ...:
     each text carries the separator before its cell, and the last column's
     the row end too.  Cells are gathered a block at a time, so no whole
     column of them is ever held.
 
-    A piece holds one row at first, then as many rows as would fill 7/8 of
-    the bound at the mean row size of the piece before, but at most twice as
-    many as that piece, so a trial piece stays near the bound; while a piece
-    is over the bound, it is joined again from half as many rows."""
+    Each piece but a block's last holds as many rows as fit in _WRITE_BYTES
+    at the widest row, the sum of each column's longest text in bytes of
+    UTF-8, or one row if none fits."""
     count = len(columns[0][1])
+    widest = 0
+    for j, (texts, index) in enumerate(columns):
+        encoded = texts if all(map(str.isascii, texts)) else map(str.encode, texts)
+        widest += max(map(len, encoded), default=0)
+        # in place of the list, so only one column is held as both
+        columns[j] = np.array(texts, dtype=object), index
+    step = max(1, _WRITE_BYTES // max(1, widest))
     block = np.empty((min(count, _BLOCK_ROWS), len(columns)), dtype=object)
-    step = 1
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(count, start + _BLOCK_ROWS)
         rows = block[: stop - start]
         for j, (texts, index) in enumerate(columns):
             rows[:, j] = texts[index.codes(start, stop) if isinstance(index, _Coded)
                                else index[start:stop]]
-        at = 0
-        while at < len(rows):
-            part = rows[at:at + step]
-            piece = "".join(part.ravel().tolist())
-            size = len(piece) if piece.isascii() else len(piece.encode())
-            if size > _WRITE_BYTES and step > 1:
-                step //= 2
-                continue
-            yield piece
-            at += len(part)
-            step = max(1, min(2 * len(part), len(part) * _WRITE_BYTES * 7 // (size * 8)))
+        for at in range(0, len(rows), step):
+            yield "".join(rows[at:at + step].ravel().tolist())
 
 
 # Rows whose cell texts a renderer builds and holds at a time, in every
@@ -761,15 +755,15 @@ def _row_blocks(columns: list[tuple[np.ndarray, np.ndarray | _Coded]]):
 _RENDER_ROWS = 2**17
 
 
-def _table_rows(table: Table, cells, rows=_row_blocks):
+def _table_rows(table: Table, cells):
     """The rows of a table as text chunks, a render block of _RENDER_ROWS
-    rows at a time: rows(block) of the list of cells(j, part) of each column
+    rows at a time: _row_blocks of the list of cells(j, part) of each column
     j, part being the column's rows in the block (a coded column keeps all
-    its values).  Each block is handed straight to rows, so its texts are
-    dropped before the next block's are built."""
+    its values).  Each block is handed straight to _row_blocks, so its texts
+    are dropped before the next block's are built."""
     for start in range(0, len(table), _RENDER_ROWS):
         part = slice(start, start + _RENDER_ROWS)
-        yield from rows([cells(j, column[part]) for j, column in enumerate(table.columns)])
+        yield from _row_blocks([cells(j, column[part]) for j, column in enumerate(table.columns)])
 
 
 def _json_rows(table: Table, indent: str):
@@ -780,8 +774,7 @@ def _json_rows(table: Table, indent: str):
         return
     inner = indent + "  "
     keys = [json.dumps(key) + ": " for key in table.header]
-    # each row opens with the comma after the row before; the first with "["
-    # in its place, in the first piece, which is that row alone (_row_blocks)
+    # each row opens with the comma after the row before; the first's is "["
     befores = [",\n" + inner + "{\n" + inner + "  " + keys[0]]
     befores += [",\n" + inner + "  " + key for key in keys[1:]]
     afters = [""] * (len(keys) - 1) + ["\n" + inner + "}"]
@@ -852,9 +845,7 @@ def _render_csv(env: ReportEnvelope):
 
     def cells(j, rows):
         before, after = "," if j else "", "\n" if j == last else ""
-        texts, index = _distinct_cells(
-            rows, lambda ts: [before + _csv_field(t, alone) + after for t in ts])
-        return np.array(texts, dtype=object), index
+        return _distinct_cells(rows, lambda ts: [before + _csv_field(t, alone) + after for t in ts])
 
     yield ",".join(_csv_field(str(h), alone) for h in table.header) + "\n"
     yield from _table_rows(table, cells)
@@ -886,35 +877,29 @@ def _text_table(table: Table):
     row.  Every column but the last is padded to its widest cell, and
     columns are two spaces apart; no line is cut.
 
-    The widths come before the first row.  A table of one render block
-    takes them from its cell texts; a longer one from a first pass over its
-    blocks that keeps only each column's widest text."""
+    The widths come before the first row: from a first pass over the render
+    blocks after the first, which keeps only each column's widest text, then
+    from the first block's texts, kept for its rows.  So a table of N render
+    blocks builds its texts 2N - 1 times."""
     header = [str(h) for h in table.header]
-    widths = list(map(len, header))
     last = len(header) - 1
+    rest = Table(table.header, tuple(column[_RENDER_ROWS:] for column in table.columns))
+    widths = list(map(len, header))
+    for start in range(0, len(rest), _RENDER_ROWS):
+        widths = [max([w, *map(len, _distinct_cells(column[start:start + _RENDER_ROWS])[0])])
+                  for w, column in zip(widths, rest.columns)]
+    block = [_distinct_cells(column[:_RENDER_ROWS]) for column in table.columns]
+    widths = [max([w, *map(len, texts)]) for w, (texts, _) in zip(widths, block)]
 
     def padded(j, texts, index):
         lead, end = "  " if j else "", "\n" if j == last else ""
         width = 0 if end else widths[j]
-        return np.array([lead + t.ljust(width) + end for t in texts], dtype=object), index
+        return [lead + t.ljust(width) + end for t in texts], index
 
-    def lines(block):
-        # popped, last column first, so a column's bare texts go once its
-        # padded texts are built
-        columns = [padded(j, *block.pop()) for j in reversed(range(len(header)))]
-        return _row_blocks(columns[::-1])
-
-    if len(table) <= _RENDER_ROWS:
-        block = [_distinct_cells(column) for column in table.columns]
-        widths = [max(w, max(map(len, texts), default=0)) for w, (texts, _) in zip(widths, block)]
-        body = lines(block)
-    else:
-        widest = lambda j, rows: max(map(len, _distinct_cells(rows)[0]))
-        for block_widths in _table_rows(table, widest, rows=lambda block: [block]):
-            widths = list(map(max, widths, block_widths))
-        body = _table_rows(table, lambda j, rows: _distinct_cells(rows), lines)
     yield "  ".join([*map(str.ljust, header[:last], widths), header[last]]) + "\n"
-    yield from body
+    # popped last column first: a column's bare texts go once its padded ones are built
+    yield from _row_blocks([padded(j, *block.pop()) for j in reversed(range(len(header)))][::-1])
+    yield from _table_rows(rest, lambda j, rows: padded(j, *_distinct_cells(rows)))
 
 
 # the --format choices, in the order --help lists them

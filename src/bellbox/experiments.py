@@ -172,8 +172,8 @@ class BellSweep:
 # Largest grid a sweep evaluates: a 0.1 degree grid over [0, 180] squared
 # (1801 x 1801 = 3,243,601 points) fits, 0.05 degree does not.  The cap
 # bounds a report's time, not its memory: the bell-sweep report holds 17
-# bytes a point beside one render block's cell texts (at 0.1 degrees 105 to
-# 114 MiB in all, and 5 to 7 s).
+# bytes a point beside one render block's cell texts (at 0.1 degrees 102 to
+# 111 MiB in all, and 4 to 9 s on 2 vCPUs).
 MAX_SWEEP_POINTS = 4_000_000
 _TOO_FINE = f"grid step too fine: more than {MAX_SWEEP_POINTS:,} points"
 # About how many grid points a sweep computes at a time: enough to make the

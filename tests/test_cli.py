@@ -902,6 +902,28 @@ def test_report_is_written_a_block_at_a_time(fmt, tmp_path, monkeypatch):
     assert len(long) == 1 and long[0].count("\n") == 1 and long[0].endswith(notes[1000] + "\n")
 
 
+def test_rows_that_fit_one_piece_are_written_as_one():
+    # csv: the header line, then the rows; text: the envelope's head, the
+    # header line, then the rows
+    for argv in VARIANTS:
+        for fmt, chunks in (("csv", 2), ("text", 3)):
+            env = run(parse_args(argv + ["--format", fmt]))
+            assert len(list(cli._chunks(env, fmt))) == chunks, (argv, fmt)
+    # json: the envelope's head, the points' rows, their closing bracket,
+    # then the tail
+    env = run(parse_args(["bell-sweep", "--grid-step", "30"]))
+    assert len(list(cli._chunks(env, "json"))) == 4
+
+
+def test_pieces_are_sized_in_bytes_of_utf8():
+    # rows of 20,000 two-byte characters: three fit in _WRITE_BYTES counted
+    # in characters, one counted in bytes
+    notes = ("\u00e9" * 20000,) * 4
+    env = _envelope({"n": 1}, cli.Table(("note",), (notes,)))
+    header, *pieces = cli._chunks(env, "csv")
+    assert [piece.encode() for piece in pieces] == [(note + "\n").encode() for note in notes]
+
+
 @pytest.mark.parametrize("fmt", sorted(RENDERERS))
 @pytest.mark.parametrize("argv", VARIANTS, ids=" ".join)
 def test_output_file_holds_the_stdout_bytes(argv, fmt, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""README's Library example runs, and prints what its comments say.
+"""README's Library example runs, and prints what its comments say; the
+sizes README states are the constants in src.
 
 The python block under "## Library" runs as it stands.  Each print line that
 carries a "# ..." comment must print that comment's leading words: the
@@ -9,6 +10,8 @@ import contextlib
 import io
 import re
 from pathlib import Path
+
+from bellbox import cli, experiments
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +40,20 @@ def test_library_example_prints_what_its_comments_say():
         words = comment.group(1)
         assert words == text or words.startswith(text + " "), (line, text)
     assert checked
+
+
+# each size README states, as it writes it, and the constant it states
+SIZES = {
+    "8192": experiments._BLOCK_ROWS,
+    "65,536": cli._WRITE_BYTES,
+    "131,072": cli._RENDER_ROWS,
+    "4,000,000": experiments.MAX_SWEEP_POINTS,
+    "10,000,000": experiments.MAX_SAMPLES,
+}
+
+
+def test_readme_sizes_are_the_constants():
+    text = README.read_text()
+    for written, constant in SIZES.items():
+        assert written in text
+        assert int(written.replace(",", "")) == constant, written
