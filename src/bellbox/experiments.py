@@ -33,8 +33,8 @@ from .lhv import (
     GhzBoxing,
     MIXED_PATTERNS,
     PARITY_PATTERNS,
-    _draw,
     _gap_and_flag,
+    _tallies,
     build_ghz_ensemble,
     coincides,
     parity_product,
@@ -173,7 +173,7 @@ class BellSweep:
 # (1801 x 1801 = 3,243,601 points) fits, 0.05 degree does not.  The cap
 # bounds a report's time, not its memory: the bell-sweep report holds 17
 # bytes a point beside one render block's cell texts (at 0.1 degrees 102 to
-# 111 MiB in all, and 4 to 9 s on 2 vCPUs).
+# 110 MiB in all, and 4 to 9 s on 2 vCPUs).
 MAX_SWEEP_POINTS = 4_000_000
 _TOO_FINE = f"grid step too fine: more than {MAX_SWEEP_POINTS:,} points"
 # About how many grid points a sweep computes at a time: enough to make the
@@ -298,26 +298,21 @@ def mc_bell_estimate(
 ) -> dict[str, McEstimate]:
     """Sampled coincidence probabilities for the three axis pairs.
 
-    Each pair is simulated by drawing joint outcomes from its exact four-point
-    Born distribution; the estimate counts the both-positive outcome.  Within
-    a shard the pairs are drawn in AB, BC, AC order from one stream.
+    Each pair reads its both-positive Born probability p once; a draw is a
+    hit with probability p, one uniform a draw.  Within a shard the pairs are
+    drawn in AB, BC, AC order from one stream.
     """
     _check_sampling(samples, shards)
     state = singlet_state()
-    pair_axes = _pair_axes(theta1, theta2)
-    outcome_patterns = tuple(itertools.product((1, -1), repeat=2))
     pair_probs = {
-        label: [joint_outcome_prob(state, axes, pat) for pat in outcome_patterns]
-        for label, axes in pair_axes.items()
+        label: joint_outcome_prob(state, axes, (1, 1))
+        for label, axes in _pair_axes(theta1, theta2).items()
     }
-    tallies = dict.fromkeys(pair_probs, 0)
+    hits = dict.fromkeys(pair_probs, 0)
     for rng, size in _shard_streams(samples, seed, shards):
-        for label, probs in pair_probs.items():
-            tallies[label] += np.bincount(_draw(probs, rng, size), minlength=len(probs))
-    return {
-        label: McEstimate.from_hits(int(counts[0]), samples, seed)
-        for label, counts in tallies.items()
-    }
+        for label, p in pair_probs.items():
+            hits[label] += int(_tallies([p, 1.0 - p], rng, size)[0])
+    return {label: McEstimate.from_hits(h, samples, seed) for label, h in hits.items()}
 
 
 @dataclass(frozen=True)
@@ -349,8 +344,7 @@ def mc_classical_estimate(
     _check_sampling(samples, shards)
     boxes = [b for b, _ in ens.entries]
     counts = sum(
-        np.bincount(sample_indices(ens, rng, size), minlength=len(boxes))
-        for rng, size in _shard_streams(samples, seed, shards)
+        sample_indices(ens, rng, size) for rng, size in _shard_streams(samples, seed, shards)
     ).tolist()
     if ens.boxing_type is GhzBoxing:
         products = [[b.pattern_product(p) for b in boxes] for p in PARITY_PATTERNS]

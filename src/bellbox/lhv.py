@@ -370,24 +370,21 @@ def enumerate_ghz_lhv() -> GhzEnumeration:
     )
 
 
-def _draw(probs, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Outcome indices of `count` independent draws from the finite
-    distribution `probs`, one uniform each.
-
-    Cumulative boundaries use right-side search, so an outcome of probability
-    zero is never drawn, even when a uniform lands exactly on a boundary.
-    """
+def _tallies(probs, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Per-outcome tallies of `count` independent draws from the finite
+    distribution `probs`, one uniform a draw.  Cumulative boundaries use
+    right-side search, so an outcome of probability zero is never drawn, even
+    when a uniform lands exactly on a boundary."""
     cum = np.cumsum(probs)
     cum[-1] = 1.0  # absorb float rounding so every draw lands on an outcome
-    return np.searchsorted(cum, rng.random(count), side="right")
+    drawn = np.searchsorted(cum, rng.random(count), side="right")
+    return np.bincount(drawn, minlength=len(probs))
 
 
 def sample_indices(ens: Ensemble, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Entry indices for `count` independent draws, weight-proportional.
-
-    Deterministic given the generator state; a zero-measure gap in the
-    cumulative weights is never selected.
-    """
+    """Per-entry tallies of `count` independent, weight-proportional draws,
+    deterministic given the generator state.  The name is kept for the
+    benchmark's traced metric lhv.sample_indices.draws, which reads `count`."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    return _draw([float(w) for _, w in ens.entries], rng, count)
+    return _tallies([float(w) for _, w in ens.entries], rng, count)

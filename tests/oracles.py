@@ -14,16 +14,21 @@ functions render a report a row at a time: csv.writer for CSV, and one
 %-template per row for the text table and for the JSON rows of a Table
 inside results.  The text template pads every column but the last to its
 widest cell and cuts nothing from a line.  cli renders whole blocks of rows
-at a time and must write the same bytes."""
+at a time and must write the same bytes.  draw_indices and mc_bell_tallies
+are bellbox's earlier samplers, which kept the outcome index of every draw
+and drew each axis pair from its four-outcome Born distribution; the
+per-outcome tallies lhv.sample_indices and mc_bell_estimate read must come
+from the same draws."""
 
 import csv
 import io
+import itertools
 import json
 import math
 
 import numpy as np
 
-from bellbox import cli, experiments
+from bellbox import cli, experiments, quantum
 from bellbox.quantum import MeasurementAxis
 
 
@@ -70,6 +75,37 @@ def joint_outcome_prob(amplitudes: np.ndarray, angles, outcomes) -> float:
         eigvec = plus if outcomes[k] == 1 else minus
         tensor = np.tensordot(eigvec.conj(), tensor, axes=([0], [k]))
     return float(np.sum(np.abs(tensor) ** 2))
+
+
+def draw_indices(probs, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The outcome index of each of count draws from the finite distribution
+    probs, one uniform a draw, by right-side search on the cumulative
+    boundaries with the last one set to 1."""
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, rng.random(count), side="right")
+
+
+def mc_bell_tallies(theta1: float, theta2: float, samples: int, seed: int,
+                    shards: int) -> dict[str, np.ndarray]:
+    """Each axis pair's tallies of its four joint outcomes, (+, +) first.
+    Shard i draws samples // shards, one more if i < samples % shards, from
+    the stream seeded [seed, i], the pairs in AB, BC, AC order."""
+    state = quantum.singlet_state()
+    n1, n2, n3 = (MeasurementAxis(t) for t in (0.0, theta1, theta2))
+    outcomes = list(itertools.product((1, -1), repeat=2))
+    pair_probs = {
+        label: [quantum.joint_outcome_prob(state, axes, signs) for signs in outcomes]
+        for label, axes in (("AB", (n1, n2)), ("BC", (n2, n3)), ("AC", (n1, n3)))
+    }
+    tallies = dict.fromkeys(pair_probs, 0)
+    base, extra = divmod(samples, shards)
+    for shard in range(min(samples, shards)):
+        rng = np.random.default_rng([seed, shard])
+        for label, probs in pair_probs.items():
+            drawn = draw_indices(probs, rng, base + (shard < extra))
+            tallies[label] += np.bincount(drawn, minlength=len(probs))
+    return tallies
 
 
 def bell_sweep_records(step: float) -> np.recarray:

@@ -65,3 +65,23 @@ def test_traced_sweep_report_counts_its_points(capsys):
     metrics = tracer.metrics()
     assert metrics["experiments.quantum_bell_sweep.calls"] == 1
     assert metrics["experiments.quantum_bell_sweep.points"] == 169
+
+
+def test_traced_monte_carlo_counts_its_draws():
+    # the montecarlo workload's per-layer metrics: a sharded classical
+    # estimate tallies through lhv.sample_indices once a shard, and the bell
+    # estimate reads one Born probability per axis pair
+    tracer = _tracing().Tracer()
+    restore = tracer.install()
+    try:
+        experiments = importlib.import_module("bellbox.experiments")
+        ens = importlib.import_module("bellbox.lhv").build_singlet_ensemble()
+        tracer.op(0, lambda: experiments.mc_classical_estimate(ens, 1000, 7, shards=4))
+        tracer.op(1, lambda: experiments.mc_bell_estimate(1.0, 2.0, 1000, 7))
+    finally:
+        restore()
+    metrics = tracer.metrics()
+    assert metrics["lhv.sample_indices.draws"] == 1000
+    assert metrics["lhv.sample_indices.calls"] == 4
+    assert metrics["experiments.mc_bell_estimate.draws"] == 1000
+    assert metrics["quantum.joint_outcome_prob.calls"] == 3

@@ -43,7 +43,7 @@ from bellbox.lhv import (
 from bellbox.quantum import ATOL, MeasurementAxis, joint_outcome_prob, singlet_state
 from fractions import Fraction
 
-from oracles import bell_sweep_records, closed_form_sequential, sweep_records
+from oracles import bell_sweep_records, closed_form_sequential, mc_bell_tallies, sweep_records
 
 REF_T1 = math.pi / 3.0
 REF_T2 = 2.0 * math.pi / 3.0
@@ -291,6 +291,11 @@ class TestBellSweep:
         assert math.degrees(last + step) > 180.0
 
 
+# Finite angle pairs; aligned axes (0, pi, theta1 == theta2) turn up often.
+ANGLES = st.sampled_from([0.0, math.pi]) | st.floats(allow_nan=False, allow_infinity=False)
+ANGLE_PAIRS = st.tuples(ANGLES, ANGLES) | ANGLES.map(lambda theta: (theta, theta))
+
+
 class TestMcBell:
     def test_estimates_near_exact_values(self):
         estimates = mc_bell_estimate(REF_T1, REF_T2, samples=1_000_000, seed=1)
@@ -316,6 +321,16 @@ class TestMcBell:
             for _ in range(2)
         ]
         assert sharded[0] == sharded[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ANGLE_PAIRS, st.integers(1, 5000), st.integers(min_value=0), st.integers(1, 6))
+    @example((0.0, 0.0), 3, 12, 5)
+    def test_hits_match_the_four_outcome_oracle(self, angles, samples, seed, shards):
+        tallies = mc_bell_tallies(*angles, samples, seed, shards)
+        assert mc_bell_estimate(*angles, samples, seed, shards) == {
+            label: McEstimate.from_hits(int(counts[0]), samples, seed)
+            for label, counts in tallies.items()
+        }
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

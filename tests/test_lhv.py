@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from bellbox.lhv import (
     AttributeTriple,
     CorrelationReport,
@@ -241,6 +243,13 @@ class TestEnumeration:
             assert r[0] * r[1] * d[2] == 1
 
 
+# Random mixtures of one kind's eight boxings: integer weights, some zero.
+MIXTURES = st.tuples(
+    st.sampled_from([build_singlet_ensemble, build_ghz_ensemble]),
+    st.lists(st.integers(0, 10**6), min_size=8, max_size=8).filter(any),
+).map(lambda spec: Ensemble.from_counts(zip((b for b, _ in spec[0]().entries), spec[1])))
+
+
 class TestSampling:
     @pytest.mark.parametrize("build", [build_singlet_ensemble, build_ghz_ensemble],
                              ids=["singlet", "ghz"])
@@ -248,18 +257,18 @@ class TestSampling:
         ens = build()
         rng = np.random.default_rng(42)
         n = 100_000
-        idx = sample_indices(ens, rng, n)
-        counts = np.bincount(idx, minlength=8)
+        tallies = sample_indices(ens, rng, n)
         sigma = math.sqrt(n * (1 / 8) * (7 / 8))
-        assert np.all(np.abs(counts - n / 8) < 4 * sigma)
+        assert tallies.shape == (8,)
+        assert np.all(np.abs(tallies - n / 8) < 4 * sigma)
         if ens.boxing_type is GhzBoxing:
             # every PARITY_PATTERNS product is +1 on every box, so only a
             # pattern that varies across boxes shows the draws: yyy is +1 on
             # half the boxes and -1 on the rest, mean 0 and sigma 1/sqrt(n)
-            yyy = np.array([b.pattern_product("yyy") for b, _ in ens.entries])
+            yyy = [b.pattern_product("yyy") for b, _ in ens.entries]
             assert parity_product(ens, "yyy").distribution == ((1, Fraction(1, 2)),
                                                                (-1, Fraction(1, 2)))
-            assert abs(yyy[idx].mean()) < 4 / math.sqrt(n)
+            assert abs(np.dot(yyy, tallies) / n) < 4 / math.sqrt(n)
 
     def test_determinism(self):
         ens = build_ghz_ensemble()
@@ -271,3 +280,19 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_indices(build_singlet_ensemble(), np.random.default_rng(0), 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(MIXTURES, st.integers(1, 10**4), st.integers(min_value=0))
+    def test_tallies_count_every_draw(self, ens, count, seed):
+        tallies = sample_indices(ens, np.random.default_rng(seed), count)
+        assert tallies.dtype.kind == "i"
+        assert tallies.shape == (len(ens.entries),)
+        assert np.all(tallies >= 0)
+        assert tallies.sum() == count
+
+    @settings(max_examples=200, deadline=None)
+    @given(MIXTURES, st.integers(1, 5000), st.integers(min_value=0))
+    def test_tallies_match_the_per_draw_oracle(self, ens, count, seed):
+        probs = [float(w) for _, w in ens.entries]
+        drawn = oracles.draw_indices(probs, np.random.default_rng(seed), count)
+        assert np.array_equal(sample_indices(ens, np.random.default_rng(seed), count),
+                              np.bincount(drawn, minlength=len(probs)))
