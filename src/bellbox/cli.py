@@ -147,6 +147,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """The report options, which every command takes after its own."""
     p.add_argument(
         "--format",
         choices=tuple(_RENDERERS),
@@ -186,29 +187,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, metavar="N",
                    help="also report Monte Carlo estimates from N joint draws")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default: %(default)s)")
-    _add_common(p)
 
     p = sub.add_parser("bell-sweep", help="gap over an inclusive angle grid "
                        "covering [0, 180] degrees on both axes")
     p.add_argument("--grid-step", dest="grid_step_deg", type=float, default=1.0, metavar="DEG",
                    help="grid spacing in degrees (default: %(default)g)")
-    _add_common(p)
 
     p = sub.add_parser("ghz-parity", help="three-spin parity expectations vs "
                        "the classical ensemble constants, with the impossible-"
                        "outcome table")
-    _add_common(p)
 
     p = sub.add_parser("order-demo", help="sequential-measurement probability "
                        "for two measurement orders of the same outcomes")
     _add_angles(p)
-    _add_common(p)
 
     p = sub.add_parser("lhv-enumerate", help="exhaustive certificates for the "
                        "classical ensembles")
     p.add_argument("target", choices=("singlet", "ghz"),
                    help="which classical model to enumerate")
-    _add_common(p)
 
     p = sub.add_parser("classical-mc", help="sampled classical correlations "
                        "against their exact values")
@@ -217,14 +213,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=100000, metavar="N",
                    help="number of box draws (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default: %(default)s)")
-    _add_common(p)
 
     p = sub.add_parser("state-report", help="state amplitudes, reduced matrices, "
                        "and mixed-vs-superposition distributions along a probe axis")
     p.add_argument("--theta1", dest="theta1_deg", type=float, default=90.0, metavar="DEG",
                    help="probe axis polar angle in degrees (default: %(default)g)")
-    _add_common(p)
 
+    for command in sub.choices.values():
+        _add_common(command)
     return parser
 
 
@@ -278,6 +274,8 @@ def parse_args(argv=None) -> RunConfig:
         parser.error("--seed must not be negative")
     if config.output_path is not None:
         # every format echoes the path; argv bytes UTF-8 cannot decode arrive as surrogates
+        if "\n" in config.output_path or "\r" in config.output_path:
+            parser.error("--output must be a path without a line break")
         try:
             config.output_path.encode("utf-8")
         except UnicodeEncodeError:

@@ -69,10 +69,12 @@ def _directions(theta1: float, theta2: float) -> tuple[MeasurementAxis, ...]:
     return MeasurementAxis(0.0), MeasurementAxis(theta1), MeasurementAxis(theta2)
 
 
-def _pair_axes(theta1: float, theta2: float) -> dict[str, tuple[MeasurementAxis, MeasurementAxis]]:
-    """Site-1/site-2 axis assignments for the three coincidence probabilities."""
+def _pair_probs(theta1: float, theta2: float) -> dict[str, float]:
+    """Each coincidence pair's both-positive Born probability on the singlet."""
     n1, n2, n3 = _directions(theta1, theta2)
-    return {"AB": (n1, n2), "BC": (n2, n3), "AC": (n1, n3)}
+    pairs = {"AB": (n1, n2), "BC": (n2, n3), "AC": (n1, n3)}
+    state = singlet_state()
+    return {label: joint_outcome_prob(state, axes, (1, 1)) for label, axes in pairs.items()}
 
 
 def _closed_form_probs(theta1, theta2):
@@ -130,14 +132,12 @@ def _check_bell_fields(p_ab, p_bc, p_ac, bell_gap, violated) -> None:
 def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
     """Closed-form coincidence probabilities at (theta1, theta2), verified
     against the Born-rule computation on the singlet state."""
-    pair_axes = _pair_axes(theta1, theta2)
+    pair_probs = _pair_probs(theta1, theta2)
     # The closed forms see the angles reduced as each axis reduces its own;
     # on huge raw angles theta2 - theta1 would lose the smaller one.
     reduced = (principal_angle(theta1), principal_angle(theta2))
     closed = [float(p) for p in _closed_form_probs(*reduced)]
-    state = singlet_state()
-    for (label, axes), value in zip(pair_axes.items(), closed):
-        born = joint_outcome_prob(state, axes, (1, 1))
+    for (label, born), value in zip(pair_probs.items(), closed):
         if abs(born - value) > ATOL:
             raise PhysicsAssertionError(
                 f"closed form and state-vector probability disagree for {label}: "
@@ -208,33 +208,32 @@ def quantum_bell_sweep(step: float) -> BellSweep:
     both angles ascending.  Ties on the minimum resolve to the first point
     in that order.  The points are computed and checked a block of whole
     theta1 rows (about _BLOCK_ROWS points) at a time, so no temporary spans
-    the grid.
+    the grid.  p_q_AB and p_q_AC are computed once per axis value before the
+    blocks; a block computes only p_q_BC and the gap.
     """
     count = _axis_count(step)
     theta = step * np.arange(count)
+    p_ab, _, p_ac = _closed_form_probs(theta, theta)
     names = ("p_q_BC", "bell_gap", "violated")
     points = np.recarray(count * count, dtype=[(name, BELL_POINT_DTYPE[name]) for name in names])
-    grid, p_ab = points.reshape(count, count), np.empty_like(theta)
+    grid = points.reshape(count, count)
     rows = max(1, _BLOCK_ROWS // count)
     least = 0
     for start in range(0, count, rows):
-        # a column of theta1 values meets the row of theta2 values, so p_AB
-        # is computed once per theta1 and p_AC once per theta2
-        block_ab, p_bc, p_ac = _closed_form_probs(theta[start:start + rows, None], theta[None, :])
-        p_ab[start:start + rows] = block_ab[:, 0]
+        # a column of theta1 values meets the row of theta2 values
+        block_ab = p_ab[start:start + rows, None]
+        _, p_bc, _ = _closed_form_probs(theta[start:start + rows, None], theta)
         block = grid[start:start + rows]
         for name, values in zip(names, (p_bc, *_gap_and_flag(block_ab, p_bc, p_ac))):
             block[name] = values
         # the checks read what is held, so a field held too coarsely fails
         try:
-            _check_bell_fields(p_ab[start:start + rows, None], block.p_q_BC, p_ac,
-                               block.bell_gap, block.violated)
+            _check_bell_fields(block_ab, block.p_q_BC, p_ac, block.bell_gap, block.violated)
         except ValueError as exc:
             raise PhysicsAssertionError(str(exc)) from exc
         i = start * count + int(np.argmin(block.bell_gap))
         if points.bell_gap[i] < points.bell_gap[least]:
             least = i
-    p_ac = p_ac[0]
     # the block checks hold only while the arrays stay as computed
     for array in (theta, p_ab, p_ac, points):
         array.flags.writeable = False
@@ -298,16 +297,12 @@ def mc_bell_estimate(
 ) -> dict[str, McEstimate]:
     """Sampled coincidence probabilities for the three axis pairs.
 
-    Each pair reads its both-positive Born probability p once; a draw is a
-    hit with probability p, one uniform a draw.  Within a shard the pairs are
-    drawn in AB, BC, AC order from one stream.
+    Each pair's both-positive Born probability p is read once, from
+    _pair_probs; a draw is a hit with probability p, one uniform a draw.
+    Within a shard the pairs are drawn in AB, BC, AC order from one stream.
     """
     _check_sampling(samples, shards)
-    state = singlet_state()
-    pair_probs = {
-        label: joint_outcome_prob(state, axes, (1, 1))
-        for label, axes in _pair_axes(theta1, theta2).items()
-    }
+    pair_probs = _pair_probs(theta1, theta2)
     hits = dict.fromkeys(pair_probs, 0)
     for rng, size in _shard_streams(samples, seed, shards):
         for label, p in pair_probs.items():

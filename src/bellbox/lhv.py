@@ -353,17 +353,12 @@ def enumerate_ghz_lhv() -> GhzEnumeration:
     parity constraints and certify what remains: exactly eight survivors, every
     one with positive all-dark product, and the survivor set identical to the
     designed ensemble's boxings."""
-    survivors = []
-    total = 0
-    for signs in itertools.product((1, -1), repeat=6):
-        total += 1
-        d, r = signs[:3], signs[3:]
-        if _obeys_parity_rule(d, r):
-            survivors.append(GhzAssignment(d, r))
+    candidates = [(s[:3], s[3:]) for s in itertools.product((1, -1), repeat=6)]
+    survivors = [GhzAssignment(d, r) for d, r in candidates if _obeys_parity_rule(d, r)]
     designed = {(b.dark, b.round) for b, _ in build_ghz_ensemble().entries}
     survivor_set = {(a.dark, a.round) for a in survivors}
     return GhzEnumeration(
-        total_assignments=total,
+        total_assignments=len(candidates),
         survivors=tuple(survivors),
         all_xxx_positive=all(a.xxx_product == 1 for a in survivors),
         matches_designed_ensemble=survivor_set == designed,

@@ -85,3 +85,18 @@ def test_traced_monte_carlo_counts_its_draws():
     assert metrics["lhv.sample_indices.calls"] == 4
     assert metrics["experiments.mc_bell_estimate.draws"] == 1000
     assert metrics["quantum.joint_outcome_prob.calls"] == 3
+
+
+def test_traced_bell_point_reads_one_born_probability_a_pair():
+    # quantum_bell_point checks its closed forms against the same three Born
+    # probabilities the bell estimator draws from
+    tracer = _tracing().Tracer()
+    restore = tracer.install()
+    try:
+        experiments = importlib.import_module("bellbox.experiments")
+        tracer.op(0, lambda: experiments.quantum_bell_point(1.0, 2.0))
+    finally:
+        restore()
+    metrics = tracer.metrics()
+    assert metrics["experiments.quantum_bell_point.calls"] == 1
+    assert metrics["quantum.joint_outcome_prob.calls"] == 3

@@ -1030,6 +1030,19 @@ class TestOutputAndExitCodes:
             # neither the report nor its temporary file is left behind
             assert list(tmp_path.iterdir()) == []
 
+    def test_line_break_in_output_path_exits_one(self, tmp_path, capsys):
+        # the text report echoes the path on its one config line, where a
+        # line break would start a line of its own
+        for name in ("a\nb", "a\rb"):
+            for fmt in sorted(cli._RENDERERS):
+                argv = ["order-demo", "--format", fmt, "--output", str(tmp_path / name)]
+                assert main(argv) == 1, (name, fmt)
+                err = capsys.readouterr().err
+                assert err.startswith("usage: bellbox order-demo ")
+                assert err.endswith(
+                    "\nbellbox order-demo: error: --output must be a path without a line break\n")
+                assert list(tmp_path.iterdir()) == []
+
     def test_failure_midstream_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "sweep.csv"
         target.write_bytes(b"old bytes")
