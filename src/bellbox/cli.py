@@ -73,13 +73,14 @@ class Table:
     the text format.  A Table inside results renders in JSON as a list of
     objects keyed by its header; its columns must be finite float64 or bool.
 
-    columns holds one sequence per header entry, all of one length; each
-    distinct value of a float64 or bool array is formatted once per render
-    block (_RENDER_ROWS rows) it appears in, twice in the text format's later
-    blocks.  A column may be coded (_Coded): its values, each formatted once,
-    read by rows in a fixed pattern, as a sweep holds a column that reads one
-    axis.  covers lists the top-level results keys the table already presents,
-    so the text format does not repeat them as scalar lines.
+    columns holds one sequence per header entry, all of one length.  One
+    writer, _row_blocks, writes every format's rows, formatting each distinct
+    value of a float64 or bool array once per render block (_RENDER_ROWS
+    rows) it appears in, twice in the text format's later blocks.  A column
+    may be coded (_Coded): its values, each formatted once, read by rows in a
+    fixed pattern, as a sweep holds a column that reads one axis.  covers
+    lists the top-level results keys the table already presents, so the text
+    format does not repeat them as scalar lines.
 
     The text format cuts no line, so a line keeps any trailing whitespace
     its cells have; no report's cell has any (each is a number, a bool, a
@@ -273,10 +274,14 @@ def parse_args(argv=None) -> RunConfig:
     if samples is not None and config.seed < 0:
         parser.error("--seed must not be negative")
     if config.output_path is not None:
-        # every format echoes the path; argv bytes UTF-8 cannot decode arrive as surrogates
-        if "\n" in config.output_path or "\r" in config.output_path:
+        if not config.output_path:
+            parser.error("--output must not be empty")
+        # every format echoes the path, the text format on one line that any
+        # str.splitlines separator would split
+        if config.output_path.splitlines() != [config.output_path]:
             parser.error("--output must be a path without a line break")
         try:
+            # argv bytes UTF-8 cannot decode arrive as surrogates
             config.output_path.encode("utf-8")
         except UnicodeEncodeError:
             parser.error("--output must be a path UTF-8 can encode")
@@ -690,83 +695,63 @@ def _json_number(text: str) -> str:
     return text if "." in text else text + ".0"
 
 
-def _json_cells(column, before: str, after: str) -> tuple[list[str], np.ndarray | _Coded]:
-    """The JSON text of each value in one Table column, as json.dumps writes
-    _jsonify's copy of it, between before and after: the distinct texts and
-    each row's index into them; finite float64 and bool columns only, or
-    coded columns of such values."""
-    values = column.values if isinstance(column, _Coded) else column
-    if _is_column(values, np.float64) and np.isfinite(values).all():
-        final = lambda texts: [f"{before}{_json_number(t)}{after}" for t in texts]
-    elif _is_column(values, np.bool_):
-        final = lambda texts: [before + t + after for t in texts]
-    else:
-        raise TypeError("a Table inside results needs finite float64 or bool columns")
-    return _distinct_cells(column, final)
-
-
 # Most bytes of UTF-8 in one write of table rows, unless a single row is
 # longer: under glibc's 128 KiB mmap threshold, so each piece and its encoded
 # copy reuse heap memory instead of mapping and unmapping pages every write.
 _WRITE_BYTES = 2**16
 
-
-def _row_blocks(columns: list[tuple[list[str], np.ndarray | _Coded]]):
-    """The rows of a table as text, gathered a block of _BLOCK_ROWS rows at
-    a time and yielded in pieces of at most _WRITE_BYTES bytes of UTF-8, or
-    of one row that is longer.
-
-    columns holds one (texts, index) pair per column: a list of str and the
-    index into it of each row's cell, an int32 array or a coded column
-    (whose codes are made a block at a time), all of one length.
-    Row i is texts[index[i]] of the first column + that of the second + ...:
-    each text carries the separator before its cell, and the last column's
-    the row end too.  Cells are gathered a block at a time, so no whole
-    column of them is ever held.
-
-    Each piece but a block's last holds as many rows as fit in _WRITE_BYTES
-    at the widest row, the sum of each column's longest text in bytes of
-    UTF-8, or one row if none fits."""
-    count = len(columns[0][1])
-    widest = 0
-    for j, (texts, index) in enumerate(columns):
-        encoded = texts if all(map(str.isascii, texts)) else map(str.encode, texts)
-        widest += max(map(len, encoded), default=0)
-        # in place of the list, so only one column is held as both
-        columns[j] = np.array(texts, dtype=object), index
-    step = max(1, _WRITE_BYTES // max(1, widest))
-    block = np.empty((min(count, _BLOCK_ROWS), len(columns)), dtype=object)
-    for start in range(0, count, _BLOCK_ROWS):
-        stop = min(count, start + _BLOCK_ROWS)
-        rows = block[: stop - start]
-        for j, (texts, index) in enumerate(columns):
-            rows[:, j] = texts[index.codes(start, stop) if isinstance(index, _Coded)
-                               else index[start:stop]]
-        for at in range(0, len(rows), step):
-            yield "".join(rows[at:at + step].ravel().tolist())
-
-
-# Rows whose cell texts a renderer builds and holds at a time, in every
-# format: a table of more rows is rendered one such block after another, so
-# its cell texts never span it.  The 1 and 0.5 degree sweeps (32,761 and
-# 130,321 rows) are one block each.
+# Rows whose cell texts the one row writer, _row_blocks, builds and holds at
+# a time, in every format: a table of more rows is rendered one such block
+# after another, so its cell texts never span it.  The 1 and 0.5 degree
+# sweeps (32,761 and 130,321 rows) are one block each.
 _RENDER_ROWS = 2**17
 
 
-def _table_rows(table: Table, cells):
-    """The rows of a table as text chunks, a render block of _RENDER_ROWS
-    rows at a time: _row_blocks of the list of cells(j, part) of each column
-    j, part being the column's rows in the block (a coded column keeps all
-    its values).  Each block is handed straight to _row_blocks, so its texts
-    are dropped before the next block's are built."""
+def _row_blocks(table: Table, cells):
+    """The rows of a table as text: the one row writer, which every format
+    hands its cell rule.
+
+    A render block of _RENDER_ROWS rows at a time, cells(j, rows) gives the
+    texts of column j's rows in the block (a coded column keeps all its
+    values): a list of str and the index into it of each row's cell, an
+    int32 array or a coded column (whose codes are made a block of rows at a
+    time).  Row i is texts[index[i]] of the first column + that of the
+    second + ...: each text carries the separator before its cell, and the
+    last column's the row end too.  The rows are gathered a block of
+    _BLOCK_ROWS rows at a time, so no whole column of cells is ever held,
+    and a render block's texts are dropped before the next block's are built.
+
+    Rows are yielded in pieces of at most _WRITE_BYTES bytes of UTF-8: each
+    piece but a block's last holds as many rows as fit at the widest row,
+    the sum of each column's longest text in bytes of UTF-8, or one row if
+    none fits."""
     for start in range(0, len(table), _RENDER_ROWS):
-        part = slice(start, start + _RENDER_ROWS)
-        yield from _row_blocks([cells(j, column[part]) for j, column in enumerate(table.columns)])
+        count = min(_RENDER_ROWS, len(table) - start)
+        columns, widest = [], 0
+        for j, column in enumerate(table.columns):
+            texts, index = cells(j, column[start:start + count])
+            widest += max(map(len, texts if all(map(str.isascii, texts))
+                              else map(str.encode, texts)), default=0)
+            columns.append((np.array(texts, dtype=object), index))
+            del texts  # before the next column's list is built
+        step = max(1, _WRITE_BYTES // max(1, widest))
+        block = np.empty((min(count, _BLOCK_ROWS), len(columns)), dtype=object)
+        for at in range(0, count, _BLOCK_ROWS):
+            rows = block[: min(count - at, _BLOCK_ROWS)]
+            for j, (texts, index) in enumerate(columns):
+                rows[:, j] = texts[index.codes(at, at + len(rows)) if isinstance(index, _Coded)
+                                   else index[at:at + len(rows)]]
+            for piece in range(0, len(rows), step):
+                yield "".join(rows[piece:piece + step].ravel().tolist())
+        del columns, texts, index, block, rows
 
 
 def _json_rows(table: Table, indent: str):
     """The table as json.dumps(indent=2) writes a list of objects whose
-    opening line is indented by indent, in chunks."""
+    opening line is indented by indent, in chunks: each cell is the JSON
+    text of its value, as json.dumps writes _jsonify's copy of it.  Its
+    columns must be finite float64 or bool, or coded columns of such
+    values."""
     if not len(table):
         yield "[]"
         return
@@ -776,7 +761,19 @@ def _json_rows(table: Table, indent: str):
     befores = [",\n" + inner + "{\n" + inner + "  " + keys[0]]
     befores += [",\n" + inner + "  " + key for key in keys[1:]]
     afters = [""] * (len(keys) - 1) + ["\n" + inner + "}"]
-    chunks = _table_rows(table, lambda j, rows: _json_cells(rows, befores[j], afters[j]))
+    numbers = []  # each column's number rule
+    for column in table.columns:
+        values = column.values if isinstance(column, _Coded) else column
+        if not (_is_column(values, np.bool_)
+                or _is_column(values, np.float64) and np.isfinite(values).all()):
+            raise TypeError("a Table inside results needs finite float64 or bool columns")
+        numbers.append(str if values.dtype == np.bool_ else _json_number)
+
+    def cells(j, rows):
+        before, number, after = befores[j], numbers[j], afters[j]
+        return _distinct_cells(rows, lambda texts: [before + number(t) + after for t in texts])
+
+    chunks = _row_blocks(table, cells)
     yield "[" + next(chunks)[1:]
     yield from chunks
     yield "\n" + indent + "]"
@@ -846,10 +843,20 @@ def _render_csv(env: ReportEnvelope):
         return _distinct_cells(rows, lambda ts: [before + _csv_field(t, alone) + after for t in ts])
 
     yield ",".join(_csv_field(str(h), alone) for h in table.header) + "\n"
-    yield from _table_rows(table, cells)
+    yield from _row_blocks(table, cells)
 
 
 def _render_text(env: ReportEnvelope):
+    """The text report: its head lines, then the table, in chunks: the
+    header, then one line per row.  Every column but the last is padded to
+    its widest cell, and columns are two spaces apart; no line is cut.
+
+    The widths come before the first row: from a first pass over the render
+    blocks after the first, which keeps only each column's widest text, then
+    from the first block's texts, which the row writer is handed for that
+    block's rows.  So a table of N render blocks builds its texts 2N - 1
+    times."""
+    table = env.table
     lines = [f"{TOOL_NAME} {env.command}"]
     config_bits = " ".join(
         f"{k}={_cell(v)}" for k, v in env.config.items() if v is not None
@@ -860,44 +867,34 @@ def _render_text(env: ReportEnvelope):
             _cell(env.provenance["exact"]), _cell(env.provenance["sampled"])
         )
     )
-    uncovered = {k: v for k, v in env.results.items() if k not in env.table.covers}
+    uncovered = {k: v for k, v in env.results.items() if k not in table.covers}
     scalars = [f"{path} = {_cell(leaf)}" for path, leaf in _flatten_leaves(uncovered)]
     if scalars:
         lines.append("")
         lines.extend(scalars)
     lines.append("")
     yield "\n".join(lines) + "\n"
-    yield from _text_table(env.table)
 
-
-def _text_table(table: Table):
-    """The table as lines of text, in chunks: the header, then one line per
-    row.  Every column but the last is padded to its widest cell, and
-    columns are two spaces apart; no line is cut.
-
-    The widths come before the first row: from a first pass over the render
-    blocks after the first, which keeps only each column's widest text, then
-    from the first block's texts, kept for its rows.  So a table of N render
-    blocks builds its texts 2N - 1 times."""
     header = [str(h) for h in table.header]
     last = len(header) - 1
-    rest = Table(table.header, tuple(column[_RENDER_ROWS:] for column in table.columns))
     widths = list(map(len, header))
-    for start in range(0, len(rest), _RENDER_ROWS):
+    for start in range(_RENDER_ROWS, len(table), _RENDER_ROWS):
         widths = [max([w, *map(len, _distinct_cells(column[start:start + _RENDER_ROWS])[0])])
-                  for w, column in zip(widths, rest.columns)]
-    block = [_distinct_cells(column[:_RENDER_ROWS]) for column in table.columns]
-    widths = [max([w, *map(len, texts)]) for w, (texts, _) in zip(widths, block)]
+                  for w, column in zip(widths, table.columns)]
+    first = [_distinct_cells(column[:_RENDER_ROWS]) for column in table.columns]
+    widths = [max([w, *map(len, texts)]) for w, (texts, _) in zip(widths, first)]
 
-    def padded(j, texts, index):
+    def cells(j, rows):
         lead, end = "  " if j else "", "\n" if j == last else ""
         width = 0 if end else widths[j]
-        return [lead + t.ljust(width) + end for t in texts], index
+        padded = lambda texts: [lead + t.ljust(width) + end for t in texts]
+        if not first:  # a later block's texts are built again, padded as they are built
+            return _distinct_cells(rows, padded)
+        texts, index = first.pop(0)  # the first block's bare texts, dropped once padded
+        return padded(texts), index
 
     yield "  ".join([*map(str.ljust, header[:last], widths), header[last]]) + "\n"
-    # popped last column first: a column's bare texts go once its padded ones are built
-    yield from _row_blocks([padded(j, *block.pop()) for j in reversed(range(len(header)))][::-1])
-    yield from _table_rows(rest, lambda j, rows: padded(j, *_distinct_cells(rows)))
+    yield from _row_blocks(table, cells)
 
 
 # the --format choices, in the order --help lists them

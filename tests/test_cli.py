@@ -526,6 +526,31 @@ def test_render_matches_oracle_at_block_edges(fmt, rows, monkeypatch):
     assert render(env, fmt) == want
 
 
+@pytest.mark.parametrize("fmt, blocks, builds",
+                         [("csv", 1, 1), ("csv", 3, 3), ("text", 1, 1), ("text", 3, 5)])
+def test_text_builds_later_render_blocks_twice(fmt, blocks, builds, monkeypatch):
+    # the text widths come before the first row, so a table of N render
+    # blocks has its texts built 2N - 1 times: the first block's once, kept
+    # for its rows, each later block's for the widths and again for its rows;
+    # csv builds each block's once
+    rows = 4 * blocks - 1
+    columns = (np.arange(rows, dtype=np.float64), np.arange(rows) % 3 == 0,
+               tuple(map(str, range(rows))))
+    env = _envelope({}, cli.Table(("x", "third", "name"), columns))
+    calls = {}
+    distinct_cells = cli._distinct_cells
+
+    def counted(column, final=list):
+        kind = getattr(column, "dtype", type(column))
+        calls[kind] = calls.get(kind, 0) + 1
+        return distinct_cells(column, final)
+
+    monkeypatch.setattr(cli, "_RENDER_ROWS", 4)
+    monkeypatch.setattr(cli, "_distinct_cells", counted)
+    assert render(env, fmt) == RENDERERS[fmt](env)
+    assert calls == {np.dtype(np.float64): builds, np.dtype(bool): builds, tuple: builds}
+
+
 def _traced_sweep(step: str, fmt: str) -> tuple[int, int]:
     """The tracemalloc peak of one bell-sweep report, built and written to
     os.devnull, and the bytes of the table's columns held meanwhile."""
@@ -1032,8 +1057,11 @@ class TestOutputAndExitCodes:
 
     def test_line_break_in_output_path_exits_one(self, tmp_path, capsys):
         # the text report echoes the path on its one config line, where a
-        # line break would start a line of its own
-        for name in ("a\nb", "a\rb"):
+        # line break would start a line of its own: any separator
+        # str.splitlines breaks at
+        for name in ("a\nb", "a\rb", "a\vb", "a\fb", "a\x1cb", "a\x1db", "a\x1eb",
+                     "a\x85b", "a\u2028b", "a\u2029b"):
+            assert len(name.splitlines()) == 2
             for fmt in sorted(cli._RENDERERS):
                 argv = ["order-demo", "--format", fmt, "--output", str(tmp_path / name)]
                 assert main(argv) == 1, (name, fmt)
@@ -1041,6 +1069,20 @@ class TestOutputAndExitCodes:
                 assert err.startswith("usage: bellbox order-demo ")
                 assert err.endswith(
                     "\nbellbox order-demo: error: --output must be a path without a line break\n")
+                assert list(tmp_path.iterdir()) == []
+
+    def test_empty_output_path_exits_one(self, tmp_path, monkeypatch, capsys):
+        # an empty path would name the current directory, or the output
+        # directory when it is set
+        monkeypatch.chdir(tmp_path)
+        for base in (None, str(tmp_path)):
+            if base is not None:
+                monkeypatch.setenv(cli.OUTPUT_DIR_ENV, base)
+            for fmt in sorted(cli._RENDERERS):
+                assert main(["order-demo", "--format", fmt, "--output", ""]) == 1, fmt
+                err = capsys.readouterr().err
+                assert err.startswith("usage: bellbox order-demo ")
+                assert err.endswith("\nbellbox order-demo: error: --output must not be empty\n")
                 assert list(tmp_path.iterdir()) == []
 
     def test_failure_midstream_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
