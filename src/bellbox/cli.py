@@ -44,7 +44,7 @@ BELL_POINT_KEYS = ("theta1_deg", "theta2_deg", "p_q_ab", "p_q_bc", "p_q_ac", "be
 class RunConfig:
     """One command's settings: each field is a parser option's dest.  A field
     the command's subparser does not declare is None; defaults live in the
-    parser only.  run echoes every field but command, output_path as "output"."""
+    parser only.  run echoes every field but command, in this order."""
 
     command: str
     theta1_deg: float | None = None
@@ -54,7 +54,7 @@ class RunConfig:
     grid_step_deg: float | None = None
     target: str | None = None
     format: str | None = None
-    output_path: str | None = None
+    output: str | None = None
 
     # Degrees are reduced mod 360 before the conversion, so a huge finite
     # angle keeps its meaning; fmod is exact and leaves |x| < 360 alone.
@@ -147,23 +147,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """The report options, which every command takes after its own."""
-    p.add_argument(
-        "--format",
-        choices=tuple(_RENDERERS),
-        default="text",
-        help="report format (default: %(default)s)",
-    )
-    p.add_argument(
-        "--output",
-        dest="output_path",
-        metavar="PATH",
-        help="write the report to a file instead of stdout; relative paths "
-        f"resolve against ${OUTPUT_DIR_ENV} when set",
-    )
-
-
 def _add_angles(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta1", dest="theta1_deg", type=float, default=60.0, metavar="DEG",
                    help="first measurement angle in degrees (default: %(default)g)")
@@ -220,8 +203,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--theta1", dest="theta1_deg", type=float, default=90.0, metavar="DEG",
                    help="probe axis polar angle in degrees (default: %(default)g)")
 
-    for command in sub.choices.values():
-        _add_common(command)
+    # the report options, which every command takes after its own
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=tuple(_RENDERERS), default="text",
+                       help="report format (default: %(default)s)")
+        p.add_argument("--output", metavar="PATH",
+                       help="write the report to a file instead of stdout; relative paths "
+                       f"resolve against ${OUTPUT_DIR_ENV} when set")
     return parser
 
 
@@ -273,16 +261,16 @@ def parse_args(argv=None) -> RunConfig:
     # the seed is used only when something is sampled
     if samples is not None and config.seed < 0:
         parser.error("--seed must not be negative")
-    if config.output_path is not None:
-        if not config.output_path:
+    if config.output is not None:
+        if not config.output:
             parser.error("--output must not be empty")
         # every format echoes the path, the text format on one line that any
         # str.splitlines separator would split
-        if config.output_path.splitlines() != [config.output_path]:
+        if config.output.splitlines() != [config.output]:
             parser.error("--output must be a path without a line break")
         try:
             # argv bytes UTF-8 cannot decode arrive as surrogates
-            config.output_path.encode("utf-8")
+            config.output.encode("utf-8")
         except UnicodeEncodeError:
             parser.error("--output must be a path UTF-8 can encode")
     if grid_step is not None:
@@ -313,13 +301,7 @@ def _cmd_singlet_bell(config: RunConfig):
             config.theta1, config.theta2, config.samples, config.seed
         )
         results["estimates"] = {
-            f"p_q_{label.lower()}": {
-                "estimate": est.estimate,
-                "std_error": est.std_error,
-                "samples": est.samples,
-                "seed": est.seed,
-            }
-            for label, est in estimates.items()
+            f"p_q_{label.lower()}": asdict(est) for label, est in estimates.items()
         }
     table = Table.from_rows(BELL_ROW_HEADER, [row], covers=BELL_POINT_KEYS)
     return results, table
@@ -407,22 +389,22 @@ def _correlation_fields(report: lhv.CorrelationReport) -> dict:
 
 
 def _cmd_lhv_enumerate(config: RunConfig):
+    results = {"target": config.target}
     if config.target == "ghz":
         cert = lhv.enumerate_ghz_lhv()
         if not (cert.all_xxx_positive and cert.matches_designed_ensemble
                 and len(cert.survivors) == 8):
             raise PhysicsAssertionError("parity enumeration certificate failed")
-        results = {
-            "target": "ghz",
-            "total_assignments": cert.total_assignments,
-            "survivor_count": len(cert.survivors),
-            "all_xxx_positive": cert.all_xxx_positive,
-            "matches_designed_ensemble": cert.matches_designed_ensemble,
-            "survivors": [
+        results.update(
+            total_assignments=cert.total_assignments,
+            survivor_count=len(cert.survivors),
+            all_xxx_positive=cert.all_xxx_positive,
+            matches_designed_ensemble=cert.matches_designed_ensemble,
+            survivors=[
                 {"dark": list(a.dark), "round": list(a.round), "xxx_product": a.xxx_product}
                 for a in cert.survivors
             ],
-        }
+        )
         table = Table.from_rows(
             header=("dark1", "dark2", "dark3", "round1", "round2", "round3", "xxx_product"),
             rows=[(*a.dark, *a.round, a.xxx_product) for a in cert.survivors],
@@ -437,34 +419,28 @@ def _cmd_lhv_enumerate(config: RunConfig):
             (v.triple.dark, v.triple.round, v.triple.swiss, v.i_AB, v.i_BC, v.i_AC, v.gap)
             for v in cert.vertices
         ]
-        results = {
-            "target": "singlet",
-            "vertex_count": len(cert.vertices),
-            "min_gap": cert.min_gap,
-            "all_satisfied": cert.all_satisfied,
-            "tight_vertex_count": len(cert.tight_vertices),
-            "uniform": _correlation_fields(cert.uniform_report),
-            "vertices": [dict(zip(header, row)) for row in rows],
-        }
+        results.update(
+            vertex_count=len(cert.vertices),
+            min_gap=cert.min_gap,
+            all_satisfied=cert.all_satisfied,
+            tight_vertex_count=len(cert.tight_vertices),
+            uniform=_correlation_fields(cert.uniform_report),
+            vertices=[dict(zip(header, row)) for row in rows],
+        )
         table = Table.from_rows(header, rows, covers=("vertices",))
     return results, table
 
 
 def _cmd_classical_mc(config: RunConfig):
+    results = {"target": config.target, "samples": config.samples, "seed": config.seed}
     if config.target == "ghz":
         ens = lhv.build_ghz_ensemble()
         report = experiments.mc_classical_estimate(ens, config.samples, config.seed)
         header = ("pattern", "mean", "constant_on_draws")
         rows = list(zip(lhv.PARITY_PATTERNS, report.means, report.constant_on_draws))
-        results = {
-            "target": "ghz",
-            "samples": config.samples,
-            "seed": config.seed,
-            "patterns": {
-                pat: dict(zip(header[1:], rest),
-                          exact_constant=lhv.parity_product(ens, pat).constant)
-                for pat, *rest in rows
-            },
+        results["patterns"] = {
+            pat: dict(zip(header[1:], rest), exact_constant=lhv.parity_product(ens, pat).constant)
+            for pat, *rest in rows
         }
         covers = ("patterns",)
     else:
@@ -476,14 +452,11 @@ def _cmd_classical_mc(config: RunConfig):
             (name, est, experiments.binomial_std_error(est, config.samples), exact[name])
             for name, est in sampled.items() if name.startswith("p_")
         ]
-        results = {
-            "target": "singlet",
-            "samples": config.samples,
-            "seed": config.seed,
-            "estimates": {name: dict(zip(header[1:], rest)) for name, *rest in rows},
-            "bell_lhs": sampled["bell_lhs"],
-            "satisfied": sampled["satisfied"],
-        }
+        results.update(
+            estimates={name: dict(zip(header[1:], rest)) for name, *rest in rows},
+            bell_lhs=sampled["bell_lhs"],
+            satisfied=sampled["satisfied"],
+        )
         covers = ("estimates",)
     return results, Table.from_rows(header, rows, covers)
 
@@ -540,8 +513,6 @@ def run(config: RunConfig) -> ReportEnvelope:
     results, table = _HANDLERS[config.command](config)
     echo = asdict(config)
     del echo["command"]
-    # output_path is the last field, so "output" keeps its place in the echo
-    echo["output"] = echo.pop("output_path")
     sampled = config.samples is not None
     if not sampled:
         echo["seed"] = None  # the seed is used only when something is sampled
@@ -857,16 +828,13 @@ def _render_text(env: ReportEnvelope):
     block's rows.  So a table of N render blocks builds its texts 2N - 1
     times."""
     table = env.table
-    lines = [f"{TOOL_NAME} {env.command}"]
-    config_bits = " ".join(
-        f"{k}={_cell(v)}" for k, v in env.config.items() if v is not None
-    )
-    lines.append(f"config: {config_bits}")
-    lines.append(
-        "provenance: exact={} sampled={}".format(
-            _cell(env.provenance["exact"]), _cell(env.provenance["sampled"])
-        )
-    )
+    # the command, then a config line and a provenance line, each listing
+    # every key whose value is not None as key=value
+    lines = [f"{TOOL_NAME} {env.command}"] + [
+        f"{head}: " + " ".join(f"{k}={_cell(v)}" for k, v in getattr(env, head).items()
+                               if v is not None)
+        for head in ("config", "provenance")
+    ]
     uncovered = {k: v for k, v in env.results.items() if k not in table.covers}
     scalars = [f"{path} = {_cell(leaf)}" for path, leaf in _flatten_leaves(uncovered)]
     if scalars:
@@ -976,7 +944,7 @@ def main(argv=None) -> int:
         return exc.code  # argparse exits through ArgumentParser.exit, with an int
     try:
         env = run(config)
-        emit(env, config.format, config.output_path)
+        emit(env, config.format, config.output)
     except PhysicsAssertionError as exc:
         print(f"{TOOL_NAME}: physics assertion failed: {exc}", file=sys.stderr)
         return 2

@@ -245,11 +245,12 @@ def quantum_bell_sweep(step: float) -> BellSweep:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """One sampled probability with its binomial standard error."""
+    """One sampled probability with its binomial standard error; the fields
+    are a report's keys, in report order."""
 
     estimate: float
-    samples: int
     std_error: float
+    samples: int
     seed: int
 
     def __post_init__(self):
@@ -261,7 +262,7 @@ class McEstimate:
     @classmethod
     def from_hits(cls, hits: int, samples: int, seed: int) -> McEstimate:
         est = hits / samples
-        return cls(est, samples, binomial_std_error(est, samples), seed)
+        return cls(est, binomial_std_error(est, samples), samples, seed)
 
 
 def binomial_std_error(estimate: float, samples: int) -> float:
@@ -357,7 +358,7 @@ def mc_classical_estimate(
         sum(c for b, c in zip(boxes, counts) if coincides(b, p1, p2))
         for p1, p2 in COINCIDENCE_PAIRS
     )
-    return CorrelationReport.from_probs(*(h / samples for h in hits), "sampled")
+    return CorrelationReport.from_probs(*(h / samples for h in hits))
 
 
 @dataclass(frozen=True)

@@ -224,8 +224,8 @@ class CorrelationReport:
     """The three pairwise coincidence probabilities and the inequality verdict.
 
     satisfied means p_AB + p_BC >= p_AC, the constraint every rule-respecting
-    mixture obeys.  Values are exact rationals when source is "exact" and
-    floats when source is "sampled".
+    mixture obeys.  Values are exact rationals from bell_check and floats
+    from a sampled estimate.
     """
 
     p_AB: Fraction | float
@@ -233,27 +233,24 @@ class CorrelationReport:
     p_AC: Fraction | float
     bell_lhs: Fraction | float
     satisfied: bool
-    source: str
 
     def __post_init__(self):
-        if self.source not in ("exact", "sampled"):
-            raise ValueError(f"source must be exact or sampled, got {self.source!r}")
         for name in ("p_AB", "p_BC", "p_AC"):
             p = getattr(self, name)
             if not 0 <= p <= 1:
                 raise ValueError(f"{name} out of [0, 1]: {p}")
 
     @classmethod
-    def from_probs(cls, p_ab, p_bc, p_ac, source: str) -> CorrelationReport:
+    def from_probs(cls, p_ab, p_bc, p_ac) -> CorrelationReport:
         violated = _gap_and_flag(p_ab, p_bc, p_ac)[1]
-        return cls(p_ab, p_bc, p_ac, p_ab + p_bc, not violated, source)
+        return cls(p_ab, p_bc, p_ac, p_ab + p_bc, not violated)
 
 
 def bell_check(ens: Ensemble) -> CorrelationReport:
     """Exact pairwise coincidence probabilities (dark-round, round-swiss,
     dark-swiss) and whether the first two sum to at least the third."""
     return CorrelationReport.from_probs(
-        *(correlation_prob(ens, p1, p2) for p1, p2 in COINCIDENCE_PAIRS), "exact"
+        *(correlation_prob(ens, p1, p2) for p1, p2 in COINCIDENCE_PAIRS)
     )
 
 

@@ -137,7 +137,7 @@ class TestParsing:
         assert config.samples is None
         assert config.seed == 0
         assert config.format == "text"
-        assert config.output_path is None
+        assert config.output is None
 
     def test_classical_mc_sample_default(self):
         config = parse_args(["classical-mc", "singlet"])
@@ -247,6 +247,14 @@ class TestPayloads:
         # key order too: it is part of the report's bytes
         assert list(doc["config"].items()) == list(config.items())
         assert doc["provenance"] == provenance
+
+    def test_config_echo_keys_are_the_run_config_fields(self):
+        # in order, and the schema requires the same keys in the same order
+        fields = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"]
+        required = json.loads(SCHEMA_PATH.read_text())["properties"]["config"]["required"]
+        assert fields == required
+        for argv in VARIANTS:
+            assert list(run_json(argv)["config"]) == fields
 
     def test_lhv_enumerate_singlet(self):
         env = run(parse_args(["lhv-enumerate", "singlet"]))
@@ -365,6 +373,12 @@ class TestRendering:
         assert lines[1].startswith("config: ")
         assert lines[2] == "provenance: exact=true sampled=false"
         assert any(line.startswith("pattern") for line in lines)
+
+    def test_text_head_lists_every_provenance_key(self):
+        env = run(parse_args(["order-demo"]))
+        env = dataclasses.replace(env, provenance={**env.provenance, "shards": 4})
+        lines = render(env, "text").splitlines()
+        assert lines[2] == "provenance: exact=true sampled=false shards=4"
 
     def test_rendering_is_deterministic(self):
         argv = ["classical-mc", "ghz", "--samples", "500", "--seed", "11"]

@@ -134,21 +134,21 @@ class TestVerdicts:
     @example(0.5, 0.0, 0.5)
     @example(0.0, 0.5, 0.5)
     def test_float_verdicts_agree(self, a, b, c):
-        report = CorrelationReport.from_probs(a, b, c, "sampled")
+        report = CorrelationReport.from_probs(a, b, c)
         assert report.satisfied == (not BellPoint.from_probs(0.0, 0.0, a, b, c).violated)
 
     @settings(max_examples=300, deadline=None)
     @given(st.fractions(0, 1), st.fractions(0, 1), st.fractions(0, 1))
     @example(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
     def test_exact_verdict_is_the_inequality(self, a, b, c):
-        assert CorrelationReport.from_probs(a, b, c, "exact").satisfied == (a + b - c >= 0)
+        assert CorrelationReport.from_probs(a, b, c).satisfied == (a + b - c >= 0)
 
     def test_tight_vertices_satisfy_both_verdicts(self):
         tight = [v for v in enumerate_singlet_lhv().vertices if v.gap == 0]
         assert tight
         for v in tight:
             indicators = (v.i_AB, v.i_BC, v.i_AC)
-            assert CorrelationReport.from_probs(*map(Fraction, indicators), "exact").satisfied
+            assert CorrelationReport.from_probs(*map(Fraction, indicators)).satisfied
             assert not BellPoint.from_probs(0.0, 0.0, *(i / 2 for i in indicators)).violated
 
 
@@ -350,7 +350,7 @@ class TestMcClassical:
         for p in (report.p_AB, report.p_BC, report.p_AC):
             assert abs(p - 0.25) < 4.0 * sigma
         assert report.satisfied
-        assert report.source == "sampled"
+        assert all(type(p) is float for p in (report.p_AB, report.p_BC, report.p_AC))
 
     def test_point_mass_reproduces_indicators(self):
         box = SingletBoxing.from_first(AttributeTriple(1, -1, 1))
@@ -461,9 +461,9 @@ class TestGhzContradiction:
 class TestEstimateValidation:
     def test_mc_estimate(self):
         with pytest.raises(ValueError):
-            McEstimate(0.5, 0, 0.0, 0)
+            McEstimate(estimate=0.5, std_error=0.0, samples=0, seed=0)
         with pytest.raises(ValueError):
-            McEstimate(1.5, 10, 0.0, 0)
+            McEstimate(estimate=1.5, std_error=0.0, samples=10, seed=0)
 
     def test_physics_assertion_is_a_runtime_error(self):
         assert issubclass(PhysicsAssertionError, RuntimeError)

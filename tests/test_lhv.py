@@ -166,7 +166,7 @@ class TestBellCheck:
         )
         assert report.bell_lhs == Fraction(1, 2)
         assert report.satisfied
-        assert report.source == "exact"
+        assert all(type(p) is Fraction for p in (report.p_AB, report.p_BC, report.p_AC))
 
     def test_every_point_mass_satisfies(self):
         for t in ALL_TRIPLES:
@@ -185,9 +185,7 @@ class TestBellCheck:
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            CorrelationReport.from_probs(Fraction(3, 2), Fraction(0), Fraction(0), "exact")
-        with pytest.raises(ValueError):
-            CorrelationReport.from_probs(Fraction(0), Fraction(0), Fraction(0), "guessed")
+            CorrelationReport.from_probs(Fraction(3, 2), Fraction(0), Fraction(0))
 
 
 class TestParityProduct:
@@ -202,6 +200,20 @@ class TestParityProduct:
         ens = Ensemble(((GhzBoxing((1, 1, 1), (1, 1, 1), 1), Fraction(1)),))
         for pattern in PARITY_PATTERNS:
             assert parity_product(ens, pattern).constant == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 10**12), min_size=16, max_size=16).filter(any))
+    def test_random_mixtures_are_all_positive(self, counts):
+        # integer counts over the 16 rule-respecting boxes, each enumeration
+        # survivor with either swiss sign, give every rational mixture of them
+        boxes = [GhzBoxing(a.dark, a.round, swiss)
+                 for a in enumerate_ghz_lhv().survivors for swiss in (1, -1)]
+        assert len(set(boxes)) == 16
+        ens = Ensemble.from_counts(zip(boxes, counts))
+        for pattern in PARITY_PATTERNS:
+            report = parity_product(ens, pattern)
+            assert report.constant == 1
+            assert report.distribution == ((1, Fraction(1)),)
 
     def test_mixture_with_both_values_has_no_constant(self):
         # yyy is unconstrained, so it can vary across the designed rows
