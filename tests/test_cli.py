@@ -1222,6 +1222,48 @@ def test_float_options_are_the_parsers_float_options():
     assert sorted(cli._FLOAT_OPTIONS) == sorted(declared)
 
 
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_a_command_alone_gets_the_whole_parsers_subparser(command):
+    # parse_args builds only the subparser its argv names
+    alone = cli._build_parser(command).commands
+    assert list(alone) == [command]
+    assert alone[command].format_help() == SUBPARSERS[command].format_help()
+    assert alone[command].format_usage() == SUBPARSERS[command].format_usage()
+
+
+def test_parser_commands_are_the_handlers_in_order():
+    # --help lists the commands in this order
+    assert tuple(cli._build_parser().commands) == tuple(cli._HANDLERS)
+
+
+def _parsers_built(argv, monkeypatch) -> int:
+    """How many ArgumentParsers parse_args(argv) makes, the top-level one
+    included; a usage error, --help or --version ends it early."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with contextlib.suppress(SystemExit):
+        parse_args(argv)
+    return len(built)
+
+
+@pytest.mark.parametrize("argv", VARIANTS, ids=" ".join)
+def test_a_command_builds_its_own_subparser_only(argv, monkeypatch):
+    assert _parsers_built(argv, monkeypatch) == 2
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["bogus"], ["--", "ghz-parity"]],
+                         ids=repr)
+def test_other_argv_builds_every_subparser(argv, monkeypatch):
+    # the top-level help and the invalid-choice error list every command
+    assert _parsers_built(argv, monkeypatch) == 1 + len(cli._HANDLERS)
+
+
 # option values argparse or parse_args must either take or reject cleanly
 AWKWARD_NUMBERS = st.sampled_from([
     "0", "-0", "-1", "-1e5", "2.5E1", "1e300", "-3e299", "1e400", "1e-300", "5e-324",
