@@ -1,10 +1,11 @@
 """Command-line surface and deterministic report emission.
 
 Angles are taken in degrees on the command line and converted to radians
-internally.  Exit codes: 0 success, 1 usage or I/O problems, 2 a physics
-assertion failed (a value the theory pins down came out wrong).  JSON reports
-carry a schema_version and validate against report_schema.json shipped next
-to this module; identical invocations produce byte-identical output.
+internally.  Exit codes: 0 success, 1 usage or I/O problems or running out
+of memory, 2 a physics assertion failed (a value the theory pins down came
+out wrong).  JSON reports carry a schema_version and validate against
+report_schema.json shipped next to this module; identical invocations produce
+byte-identical output.
 
 Relative --output paths resolve against the BELLBOX_OUTPUT_DIR environment
 variable when it is set.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -154,9 +156,10 @@ def _add_angles(p: argparse.ArgumentParser) -> None:
                    help="second measurement angle in degrees (default: %(default)g)")
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """bellbox's parser with every command's subparser, or with command's
-    alone: argparse reads no other subparser once argv names a command."""
+@functools.cache
+def _build_parser() -> _Parser:
+    """bellbox's parser, built once per process: argparse parses each argv
+    into a fresh namespace and keeps no state in the parser."""
     parser = _Parser(
         prog=TOOL_NAME,
         description="Exact and sampled correlation contrasts between entangled "
@@ -167,44 +170,42 @@ def _build_parser(command: str | None = None) -> _Parser:
     # each command's parser, which reports the errors parse_args finds later
     parser.commands = sub.choices
 
-    def add(name: str, help: str) -> argparse.ArgumentParser | None:
-        """name's subparser, or None when only another command's is built."""
-        return sub.add_parser(name, help=help) if command in (None, name) else None
+    p = sub.add_parser("singlet-bell", help="coincidence probabilities and the "
+                       "inequality gap for the two-spin state at one angle pair")
+    _add_angles(p)
+    p.add_argument("--samples", type=int, metavar="N",
+                   help="also report Monte Carlo estimates from N joint draws")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default: %(default)s)")
 
-    if p := add("singlet-bell", "coincidence probabilities and the inequality gap "
-                "for the two-spin state at one angle pair"):
-        _add_angles(p)
-        p.add_argument("--samples", type=int, metavar="N",
-                       help="also report Monte Carlo estimates from N joint draws")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed (default: %(default)s)")
+    p = sub.add_parser("bell-sweep", help="gap over an inclusive angle grid "
+                       "covering [0, 180] degrees on both axes")
+    p.add_argument("--grid-step", dest="grid_step_deg", type=float, default=1.0, metavar="DEG",
+                   help="grid spacing in degrees (default: %(default)g)")
 
-    if p := add("bell-sweep", "gap over an inclusive angle grid covering [0, 180] "
-                "degrees on both axes"):
-        p.add_argument("--grid-step", dest="grid_step_deg", type=float, default=1.0,
-                       metavar="DEG", help="grid spacing in degrees (default: %(default)g)")
+    sub.add_parser("ghz-parity", help="three-spin parity expectations vs the classical "
+                   "ensemble constants, with the impossible-outcome table")
 
-    add("ghz-parity", "three-spin parity expectations vs the classical ensemble "
-        "constants, with the impossible-outcome table")
+    p = sub.add_parser("order-demo", help="sequential-measurement probability "
+                       "for two measurement orders of the same outcomes")
+    _add_angles(p)
 
-    if p := add("order-demo", "sequential-measurement probability for two "
-                "measurement orders of the same outcomes"):
-        _add_angles(p)
+    p = sub.add_parser("lhv-enumerate", help="exhaustive certificates for the "
+                       "classical ensembles")
+    p.add_argument("target", choices=("singlet", "ghz"),
+                   help="which classical model to enumerate")
 
-    if p := add("lhv-enumerate", "exhaustive certificates for the classical ensembles"):
-        p.add_argument("target", choices=("singlet", "ghz"),
-                       help="which classical model to enumerate")
+    p = sub.add_parser("classical-mc", help="sampled classical correlations "
+                       "against their exact values")
+    p.add_argument("target", choices=("singlet", "ghz"),
+                   help="which designed ensemble to sample")
+    p.add_argument("--samples", type=int, default=100000, metavar="N",
+                   help="number of box draws (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default: %(default)s)")
 
-    if p := add("classical-mc", "sampled classical correlations against their exact values"):
-        p.add_argument("target", choices=("singlet", "ghz"),
-                       help="which designed ensemble to sample")
-        p.add_argument("--samples", type=int, default=100000, metavar="N",
-                       help="number of box draws (default: %(default)s)")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed (default: %(default)s)")
-
-    if p := add("state-report", "state amplitudes, reduced matrices, and "
-                "mixed-vs-superposition distributions along a probe axis"):
-        p.add_argument("--theta1", dest="theta1_deg", type=float, default=90.0, metavar="DEG",
-                       help="probe axis polar angle in degrees (default: %(default)g)")
+    p = sub.add_parser("state-report", help="state amplitudes, reduced matrices, "
+                       "and mixed-vs-superposition distributions along a probe axis")
+    p.add_argument("--theta1", dest="theta1_deg", type=float, default=90.0, metavar="DEG",
+                   help="probe axis polar angle in degrees (default: %(default)g)")
 
     # the report options, which every command takes after its own
     for p in sub.choices.values():
@@ -249,11 +250,8 @@ def _join_negative_floats(argv: list[str]) -> list[str]:
 
 
 def parse_args(argv=None) -> RunConfig:
-    argv = _join_negative_floats(sys.argv[1:] if argv is None else list(argv))
-    # an argv that starts with a command name needs only that command's parser;
-    # any other (--help, --version, a bad command) needs every command's
-    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
-    ns = parser.parse_args(argv)
+    parser = _build_parser()
+    ns = parser.parse_args(_join_negative_floats(sys.argv[1:] if argv is None else list(argv)))
     config = RunConfig(**vars(ns))
     parser = parser.commands[config.command]
     samples, grid_step = config.samples, config.grid_step_deg
@@ -956,5 +954,8 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"{TOOL_NAME}: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 1
     return 0

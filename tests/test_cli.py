@@ -1056,6 +1056,44 @@ class TestOutputAndExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.decode().splitlines() == ["bellbox: standard output is closed"]
 
+    # in KiB, with one OpenBLAS thread: enough address space to load numpy
+    # (100000 was not), too little for a 0.1 degree sweep (which 180000 ran)
+    # or for 1e7 sampled draws
+    MEMORY_LIMIT = 140000
+
+    def _run_limited(self, *argv):
+        """bellbox argv run in a child whose address space is MEMORY_LIMIT."""
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no RLIMIT_AS on this platform")
+        limit = self.MEMORY_LIMIT * 1024
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(bellbox.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        return subprocess.run([sys.executable, "-m", "bellbox", *argv], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              preexec_fn=limit_address_space)
+
+    @pytest.mark.parametrize("argv", [
+        ["bell-sweep", "--grid-step", "0.1", "--format", "csv"],
+        ["bell-sweep", "--grid-step", "0.1", "--output", "report.txt"],
+        ["classical-mc", "singlet", "--samples", "10000000"],
+    ], ids=" ".join)
+    def test_out_of_memory_exits_one(self, argv, tmp_path):
+        assert self._run_limited("--version").returncode == 0
+        if "--output" in argv:
+            argv = [*argv[:-1], str(tmp_path / argv[-1])]
+        proc = self._run_limited(*argv)
+        assert proc.returncode == 1
+        err = proc.stderr.decode()
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("bellbox: out of memory")
+        # neither the report nor its temporary file is left behind
+        assert list(tmp_path.iterdir()) == []
+
     def test_unencodable_output_path_exits_one(self, tmp_path, capsys):
         # Python reads the argv byte 0xff as "\udcff", which every format's
         # echo of the path cannot encode as UTF-8
@@ -1222,23 +1260,14 @@ def test_float_options_are_the_parsers_float_options():
     assert sorted(cli._FLOAT_OPTIONS) == sorted(declared)
 
 
-@pytest.mark.parametrize("command", list(cli._HANDLERS))
-def test_a_command_alone_gets_the_whole_parsers_subparser(command):
-    # parse_args builds only the subparser its argv names
-    alone = cli._build_parser(command).commands
-    assert list(alone) == [command]
-    assert alone[command].format_help() == SUBPARSERS[command].format_help()
-    assert alone[command].format_usage() == SUBPARSERS[command].format_usage()
-
-
 def test_parser_commands_are_the_handlers_in_order():
     # --help lists the commands in this order
     assert tuple(cli._build_parser().commands) == tuple(cli._HANDLERS)
 
 
-def _parsers_built(argv, monkeypatch) -> int:
-    """How many ArgumentParsers parse_args(argv) makes, the top-level one
-    included; a usage error, --help or --version ends it early."""
+def _parsers_built(argvs, monkeypatch) -> int:
+    """How many ArgumentParsers parse_args makes over argvs, the top-level one
+    included; a usage error, --help or --version ends a parse early."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1247,21 +1276,43 @@ def _parsers_built(argv, monkeypatch) -> int:
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    with contextlib.suppress(SystemExit):
-        parse_args(argv)
+    for argv in argvs:
+        with contextlib.suppress(SystemExit):
+            parse_args(argv)
     return len(built)
 
 
-@pytest.mark.parametrize("argv", VARIANTS, ids=" ".join)
-def test_a_command_builds_its_own_subparser_only(argv, monkeypatch):
-    assert _parsers_built(argv, monkeypatch) == 2
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    # a report, --help, a usage error and another command's report
+    argvs = [["ghz-parity"], ["--help"], ["singlet-bell", "--samples", "0"],
+             ["lhv-enumerate", "ghz"]]
+    cli._build_parser.cache_clear()
+    assert _parsers_built(argvs, monkeypatch) == 1 + len(cli._HANDLERS)
+    assert _parsers_built(argvs, monkeypatch) == 0
 
 
-@pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["bogus"], ["--", "ghz-parity"]],
-                         ids=repr)
-def test_other_argv_builds_every_subparser(argv, monkeypatch):
-    # the top-level help and the invalid-choice error list every command
-    assert _parsers_built(argv, monkeypatch) == 1 + len(cli._HANDLERS)
+def _parsed(argv, capsys):
+    """parse_args(argv)'s RunConfig, or None for a usage error, and its stderr."""
+    try:
+        config = parse_args(argv)
+    except SystemExit:
+        config = None
+    return config, capsys.readouterr().err
+
+
+def test_the_cached_parser_keeps_no_parse_state(capsys):
+    argvs = [*VARIANTS, ["singlet-bell", "--samples", "0"]]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(_parsed(argv, capsys))
+    assert fresh[-1][0] is None and fresh[-1][1].startswith("usage: bellbox singlet-bell ")
+    # one parser parses every argv, the usage error last, then each again
+    cli._build_parser.cache_clear()
+    for argv in argvs:
+        _parsed(argv, capsys)
+    for argv, want in zip(argvs, fresh):
+        assert _parsed(argv, capsys) == want, argv
 
 
 # option values argparse or parse_args must either take or reject cleanly
