@@ -317,14 +317,14 @@ def _cmd_bell_sweep(config: RunConfig):
     # the fields that read one angle are coded by that angle's grid index:
     # theta1's for each row of theta2 values, theta2's at every point
     count = len(sweep.points)
-    # np.degrees rounds exactly as math.degrees does; theta2 is theta1
-    degrees = np.degrees(sweep.theta1)
+    # np.degrees rounds exactly as math.degrees does
+    degrees = np.degrees(sweep.theta)
     columns = _bell_fields(
         sweep.points,
-        _Coded(degrees, sweep.shape[1], count),
+        _Coded(degrees, len(sweep.theta), count),
         _Coded(degrees, 1, count),
-        _Coded(sweep.p_q_AB, sweep.shape[1], count),
-        _Coded(sweep.p_q_AC, 1, count),
+        _Coded(sweep.p_q_axis, len(sweep.theta), count),
+        _Coded(sweep.p_q_axis, 1, count),
     )
     results = {
         "grid_step_deg": config.grid_step_deg,

@@ -151,22 +151,17 @@ def quantum_bell_point(theta1: float, theta2: float) -> BellPoint:
 
 @dataclass(frozen=True, eq=False)
 class BellSweep:
-    """A grid of points as read-only arrays, with the most negative gap
-    singled out.  theta1 and theta2 are the axes, one array, as the grid is
-    square; p_q_AB holds one value per theta1 and p_q_AC one per theta2;
-    points holds p_q_BC, bell_gap and violated per point (17 bytes), in
-    grid order: points.reshape(shape) is the grid, theta1 along axis 0."""
+    """A square grid of points as read-only arrays, with the most negative
+    gap singled out.  Both angles run over the one axis theta.  p_q_axis[i]
+    is sin^2(theta[i] / 2) / 2: p_q_AB where theta1 is theta[i], and p_q_AC
+    where theta2 is.  points holds p_q_BC, bell_gap and violated per point
+    (17 bytes), in grid order: with n = len(theta), points.reshape(n, n) is
+    the grid, theta1 along axis 0."""
 
-    theta1: np.ndarray
-    theta2: np.ndarray
-    p_q_AB: np.ndarray
-    p_q_AC: np.ndarray
+    theta: np.ndarray
+    p_q_axis: np.ndarray
     points: np.recarray
     minimum: BellPoint
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.theta1), len(self.theta2)
 
 
 # Largest grid a sweep evaluates: a 0.1 degree grid over [0, 180] squared
@@ -204,16 +199,17 @@ def quantum_bell_sweep(step: float) -> BellSweep:
     the minimum.
 
     Both angles run over one axis, from 0 in whole steps up to the last
-    point not past pi, so theta2 is theta1.  Grid order is theta1-major,
-    both angles ascending.  Ties on the minimum resolve to the first point
-    in that order.  The points are computed and checked a block of whole
-    theta1 rows (about _BLOCK_ROWS points) at a time, so no temporary spans
-    the grid.  p_q_AB and p_q_AC are computed once per axis value before the
-    blocks; a block computes only p_q_BC and the gap.
+    point not past pi.  Grid order is theta1-major, both angles ascending.
+    Ties on the minimum resolve to the first point in that order.  The
+    points are computed and checked a block of whole theta1 rows (about
+    _BLOCK_ROWS points) at a time, so no temporary spans the grid.  The
+    one-angle probability is computed once per axis value before the blocks,
+    and serves as both p_q_AB and p_q_AC; a block computes only p_q_BC and
+    the gap.
     """
     count = _axis_count(step)
     theta = step * np.arange(count)
-    p_ab, _, p_ac = _closed_form_probs(theta, theta)
+    p_axis = _closed_form_probs(theta, theta)[0]
     names = ("p_q_BC", "bell_gap", "violated")
     points = np.recarray(count * count, dtype=[(name, BELL_POINT_DTYPE[name]) for name in names])
     grid = points.reshape(count, count)
@@ -221,26 +217,26 @@ def quantum_bell_sweep(step: float) -> BellSweep:
     least = 0
     for start in range(0, count, rows):
         # a column of theta1 values meets the row of theta2 values
-        block_ab = p_ab[start:start + rows, None]
+        block_ab = p_axis[start:start + rows, None]
         _, p_bc, _ = _closed_form_probs(theta[start:start + rows, None], theta)
         block = grid[start:start + rows]
-        for name, values in zip(names, (p_bc, *_gap_and_flag(block_ab, p_bc, p_ac))):
+        for name, values in zip(names, (p_bc, *_gap_and_flag(block_ab, p_bc, p_axis))):
             block[name] = values
         # the checks read what is held, so a field held too coarsely fails
         try:
-            _check_bell_fields(block_ab, block.p_q_BC, p_ac, block.bell_gap, block.violated)
+            _check_bell_fields(block_ab, block.p_q_BC, p_axis, block.bell_gap, block.violated)
         except ValueError as exc:
             raise PhysicsAssertionError(str(exc)) from exc
         i = start * count + int(np.argmin(block.bell_gap))
         if points.bell_gap[i] < points.bell_gap[least]:
             least = i
     # the block checks hold only while the arrays stay as computed
-    for array in (theta, p_ab, p_ac, points):
+    for array in (theta, p_axis, points):
         array.flags.writeable = False
     i, j = divmod(least, count)
     minimum = BellPoint.from_probs(
-        *(float(v) for v in (theta[i], theta[j], p_ab[i], points.p_q_BC[least], p_ac[j])))
-    return BellSweep(theta, theta, p_ab, p_ac, points, minimum)
+        *(float(v) for v in (theta[i], theta[j], p_axis[i], points.p_q_BC[least], p_axis[j])))
+    return BellSweep(theta, p_axis, points, minimum)
 
 
 @dataclass(frozen=True)
@@ -321,8 +317,6 @@ class GhzSampleReport:
 
     means: tuple[float, float, float, float]
     constant_on_draws: tuple[bool, bool, bool, bool]
-    samples: int
-    seed: int
 
 
 def mc_classical_estimate(
@@ -351,8 +345,6 @@ def mc_classical_estimate(
             constant_on_draws=tuple(
                 len({v for v, c in zip(row, counts) if c}) == 1 for row in products
             ),
-            samples=samples,
-            seed=seed,
         )
     hits = (
         sum(c for b, c in zip(boxes, counts) if coincides(b, p1, p2))
@@ -365,8 +357,6 @@ def mc_classical_estimate(
 class OrderReport:
     """Probabilities of the same three-outcome sequence measured in two orders."""
 
-    theta1: float
-    theta2: float
     prob_order_123: float
     prob_order_132: float
     equal: bool
@@ -383,7 +373,7 @@ def order_dependence_report(theta1: float, theta2: float) -> OrderReport:
     rho = maximally_mixed()
     p123 = sequential_measure_prob(rho, [(n1, 1), (n2, -1), (n3, -1)])
     p132 = sequential_measure_prob(rho, [(n1, 1), (n3, -1), (n2, -1)])
-    return OrderReport(theta1, theta2, p123, p132, abs(p123 - p132) <= ATOL)
+    return OrderReport(p123, p132, abs(p123 - p132) <= ATOL)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,8 @@ attributes multiplies to +1 or -1 with no case analysis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -62,21 +61,15 @@ class AttributeTriple:
 
 @dataclass(frozen=True)
 class SingletBoxing:
-    """Two-compartment box obeying the packing rule: compartment 2 is the
-    attribute-wise opposite of compartment 1."""
+    """Two-compartment box under the packing rule: compartment 2 is the
+    attribute-wise opposite of compartment 1, derived from it once, when the
+    box is made."""
 
     compartment1: AttributeTriple
-    compartment2: AttributeTriple
+    compartment2: AttributeTriple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.compartment2 != self.compartment1.negated():
-            raise ValueError(
-                "compartment 2 must be the attribute-wise opposite of compartment 1"
-            )
-
-    @classmethod
-    def from_first(cls, triple: AttributeTriple) -> SingletBoxing:
-        return cls(triple, triple.negated())
+        object.__setattr__(self, "compartment2", self.compartment1.negated())
 
 
 def _pattern_product(dark, round_, pattern: str) -> int:
@@ -151,12 +144,6 @@ class Ensemble:
             raise ValueError("weights must sum to exactly 1")
         object.__setattr__(self, "entries", tuple(normalized))
 
-    @classmethod
-    def from_counts(cls, pairs: Iterable[tuple[object, int]]) -> Ensemble:
-        pairs = [(b, int(c)) for b, c in pairs]
-        total = sum(c for _, c in pairs)
-        return cls(tuple((b, Fraction(c, total)) for b, c in pairs if c > 0))
-
     @property
     def boxing_type(self) -> type:
         return type(self.entries[0][0])
@@ -167,7 +154,7 @@ def build_singlet_ensemble() -> Ensemble:
     compartment 1 ranging over all attribute triples."""
     w = Fraction(1, 8)
     triples = (AttributeTriple(*signs) for signs in itertools.product((1, -1), repeat=3))
-    return Ensemble(tuple((SingletBoxing.from_first(t), w) for t in triples))
+    return Ensemble(tuple((SingletBoxing(t), w) for t in triples))
 
 
 # The eight designed three-compartment boxings, as (dark signs, round signs)
@@ -259,7 +246,6 @@ class ParityReport:
     """Weighted distribution of one parity product over an ensemble; constant
     holds the common value when the product is the same for every boxing."""
 
-    pattern: str
     constant: int | None
     distribution: tuple[tuple[int, Fraction], ...]
 
@@ -271,7 +257,7 @@ def parity_product(ens: Ensemble, pattern: str) -> ParityReport:
         weights[boxing.pattern_product(pattern)] += weight
     distribution = tuple((v, w) for v, w in weights.items() if w > 0)
     constant = distribution[0][0] if len(distribution) == 1 else None
-    return ParityReport(pattern, constant, distribution)
+    return ParityReport(constant, distribution)
 
 
 @dataclass(frozen=True)
@@ -304,14 +290,14 @@ def enumerate_singlet_lhv() -> SingletEnumeration:
 
     Each vertex contributes 0/1 indicators for the three coincidences; any
     mixture's probabilities are weighted averages of these, so a nonnegative
-    gap on all eight vertices settles the general case by linearity.
+    gap on all eight vertices settles the general case by linearity.  The
+    vertices are the designed ensemble's boxings, in its order.
     """
+    ens = build_singlet_ensemble()
     vertices = []
-    for signs in itertools.product((1, -1), repeat=3):
-        t = AttributeTriple(*signs)
-        box = SingletBoxing.from_first(t)
+    for box, _ in ens.entries:
         indicators = (int(coincides(box, p1, p2)) for p1, p2 in COINCIDENCE_PAIRS)
-        vertices.append(SingletVertex(t, *indicators))
+        vertices.append(SingletVertex(box.compartment1, *indicators))
     verdicts = [_gap_and_flag(v.i_AB, v.i_BC, v.i_AC) for v in vertices]
     min_gap = min(gap for gap, _ in verdicts)
     return SingletEnumeration(
@@ -319,7 +305,7 @@ def enumerate_singlet_lhv() -> SingletEnumeration:
         min_gap=min_gap,
         tight_vertices=tuple(v.triple for v in vertices if v.gap == min_gap),
         all_satisfied=not any(violated for _, violated in verdicts),
-        uniform_report=bell_check(build_singlet_ensemble()),
+        uniform_report=bell_check(ens),
     )
 
 

@@ -8,7 +8,7 @@ axis's stored eigenbasis and quantum.joint_outcome_prob must give the same
 bits, since reports print their residues.  bell_sweep_records is
 bellbox's earlier sweep, which built each field over the whole grid and
 then copied them into records; quantum_bell_sweep computes a block of rows
-at a time and holds each one-angle field once per axis value, and
+at a time and holds the one-angle probability once per axis value, and
 sweep_records must expand what it holds to the same bytes.  The render_*
 functions render a report a row at a time: csv.writer for CSV, and one
 %-template per row for the text table and for the JSON rows of a Table
@@ -18,17 +18,20 @@ at a time and must write the same bytes.  draw_indices and mc_bell_tallies
 are bellbox's earlier samplers, which kept the outcome index of every draw
 and drew each axis pair from its four-outcome Born distribution; the
 per-outcome tallies lhv.sample_indices and mc_bell_estimate read must come
-from the same draws."""
+from the same draws.  ensemble_from_counts builds the mixtures the tests
+draw at random: integer counts over boxes, normalised to exact weights."""
 
 import csv
 import io
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from bellbox import cli, experiments, quantum
+from bellbox.lhv import Ensemble
 from bellbox.quantum import MeasurementAxis
 
 
@@ -108,6 +111,14 @@ def mc_bell_tallies(theta1: float, theta2: float, samples: int, seed: int,
     return tallies
 
 
+def ensemble_from_counts(pairs) -> Ensemble:
+    """The ensemble weighting each (box, count) pair by count over the total;
+    rows with count 0 are dropped."""
+    pairs = [(b, int(c)) for b, c in pairs]
+    total = sum(c for _, c in pairs)
+    return Ensemble(tuple((b, Fraction(c, total)) for b, c in pairs if c > 0))
+
+
 def bell_sweep_records(step: float) -> np.recarray:
     """The records sweep_records expands quantum_bell_sweep(step) to, from
     one meshgrid over the whole grid."""
@@ -122,13 +133,14 @@ def bell_sweep_records(step: float) -> np.recarray:
 
 def sweep_records(sweep: experiments.BellSweep) -> np.recarray:
     """A BellSweep as BELL_POINT_DTYPE records, one per point in grid order:
-    each axis and its one-angle field repeated along the other axis."""
+    the axis and its one-angle field, repeated along the other axis, for
+    each angle in turn."""
     records = np.recarray(len(sweep.points), dtype=experiments.BELL_POINT_DTYPE)
-    grid = records.reshape(sweep.shape)
-    for name in ("theta1", "p_q_AB"):
-        grid[name] = getattr(sweep, name)[:, None]
-    for name in ("theta2", "p_q_AC"):
-        grid[name] = getattr(sweep, name)
+    grid = records.reshape(len(sweep.theta), len(sweep.theta))
+    grid["theta1"] = sweep.theta[:, None]
+    grid["p_q_AB"] = sweep.p_q_axis[:, None]
+    grid["theta2"] = sweep.theta
+    grid["p_q_AC"] = sweep.p_q_axis
     for name in sweep.points.dtype.names:
         records[name] = sweep.points[name]
     return records

@@ -24,7 +24,6 @@ from bellbox.experiments import (
 )
 from bellbox.lhv import (
     AttributeTriple,
-    Ensemble,
     SingletBoxing,
     bell_check,
     build_ghz_ensemble,
@@ -39,7 +38,7 @@ from bellbox.quantum import (
     singlet_state,
 )
 from bellbox.cli import main as cli_main
-from oracles import closed_form_sequential
+from oracles import closed_form_sequential, ensemble_from_counts
 
 T1_DEG, T2_DEG = 60.0, 120.0
 T1, T2 = math.radians(T1_DEG), math.radians(T2_DEG)
@@ -94,8 +93,8 @@ def test_02_all_classical_ensembles_obey_the_inequality(capsys):
             counts = rng.integers(0, 10, size=8)
             if not counts.any():
                 counts[0] = 1
-            ens = Ensemble.from_counts(
-                (SingletBoxing.from_first(t), int(c))
+            ens = ensemble_from_counts(
+                (SingletBoxing(t), int(c))
                 for t, c in zip(triples, counts)
             )
             report = bell_check(ens)

@@ -43,7 +43,13 @@ from bellbox.lhv import (
 from bellbox.quantum import ATOL, MeasurementAxis, joint_outcome_prob, singlet_state
 from fractions import Fraction
 
-from oracles import bell_sweep_records, closed_form_sequential, mc_bell_tallies, sweep_records
+from oracles import (
+    bell_sweep_records,
+    closed_form_sequential,
+    ensemble_from_counts,
+    mc_bell_tallies,
+    sweep_records,
+)
 
 REF_T1 = math.pi / 3.0
 REF_T2 = 2.0 * math.pi / 3.0
@@ -163,7 +169,7 @@ class TestBellSweep:
     def test_grid_order_and_pointwise_agreement(self):
         sweep = quantum_bell_sweep(math.radians(5.0))
         size = 37
-        assert sweep.theta2 is sweep.theta1
+        assert len(sweep.theta) == len(sweep.p_q_axis) == size
         assert len(sweep.points) == size * size
         records = sweep_records(sweep)
         rng = np.random.default_rng(13)
@@ -203,24 +209,26 @@ class TestBellSweep:
         sweep = quantum_bell_sweep(math.radians(30.0))
         with pytest.raises(ValueError, match="read-only"):
             sweep.points.bell_gap[0] = -1.0
-        for name in ("theta1", "theta2", "p_q_AB", "p_q_AC", "points"):
+        for name in ("theta", "p_q_axis", "points"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(sweep, name)[0] = 0.0
 
     def test_column_checks_run(self, monkeypatch):
         # only the grid's last theta1 row (180 degrees) goes out of range,
         # away from the minimum, which BellPoint checks on its own.  Blocks
-        # of two 7-point rows leave that row alone in the last block.
+        # of two 7-point rows leave that row alone in the last block.  The
+        # row's p_q_BC is what goes: its p_q_AB is the axis value p_q_AC
+        # reads at 180 degrees in every row, so the first block would fail.
         def out_of_range(t1, t2):
             p_ab, p_bc, p_ac = np.vectorize(reference_probs)(t1, t2)
-            return np.where(t1 > math.radians(170.0), p_ab + 0.6, p_ab), p_bc, p_ac
+            return p_ab, np.where(t1 > math.radians(170.0), p_bc + 0.6, p_bc), p_ac
 
         monkeypatch.setattr(experiments, "_BLOCK_ROWS", 14)
         monkeypatch.setattr(experiments, "_closed_form_probs", out_of_range)
         # the message gives the range of the failing block: the last row's
         grid = math.radians(30.0) * np.arange(7)
-        p_ab = np.vectorize(reference_probs)(grid[-1], grid)[0] + 0.6
-        message = f"p_q_AB out of [0, 1/2]: {np.min(p_ab)} to {np.max(p_ab)}"
+        p_bc = np.vectorize(reference_probs)(grid[-1], grid)[1] + 0.6
+        message = f"p_q_BC out of [0, 1/2]: {np.min(p_bc)} to {np.max(p_bc)}"
         with pytest.raises(PhysicsAssertionError, match=f"^{re.escape(message)}$"):
             quantum_bell_sweep(math.radians(30.0))
 
@@ -238,7 +246,7 @@ class TestBellSweep:
             sweep = quantum_bell_sweep(step)
         # each one-angle field is held once per axis value, so the whole-grid
         # oracle's must not vary, bit for bit, along the other axis
-        assert len(sweep.points) == sweep.shape[0] * sweep.shape[1]
+        assert len(sweep.points) == len(sweep.theta) ** 2
         assert sweep_records(sweep).tobytes() == bell_sweep_records(step).tobytes()
 
     @pytest.mark.parametrize("step_deg", [1.0, 0.5, 0.3])
@@ -260,8 +268,7 @@ class TestBellSweep:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # theta2 is theta1
-            arrays = (sweep.theta1, sweep.p_q_AB, sweep.p_q_AC, sweep.points)
+            arrays = (sweep.theta, sweep.p_q_axis, sweep.points)
             return peak - sum(array.nbytes for array in arrays)
 
         assert abs(traced(0.5) - traced(1.0)) <= 2**18
@@ -353,7 +360,7 @@ class TestMcClassical:
         assert all(type(p) is float for p in (report.p_AB, report.p_BC, report.p_AC))
 
     def test_point_mass_reproduces_indicators(self):
-        box = SingletBoxing.from_first(AttributeTriple(1, -1, 1))
+        box = SingletBoxing(AttributeTriple(1, -1, 1))
         ens = Ensemble(((box, Fraction(1)),))
         report = mc_classical_estimate(ens, samples=500, seed=2)
         assert (report.p_AB, report.p_BC, report.p_AC) == (1.0, 0.0, 0.0)
@@ -362,7 +369,6 @@ class TestMcClassical:
         report = mc_classical_estimate(build_ghz_ensemble(), samples=100_000, seed=3)
         assert report.means == (1.0, 1.0, 1.0, 1.0)
         assert report.constant_on_draws == (True, True, True, True)
-        assert report.samples == 100_000
 
     def test_sample_cap(self):
         for ens in (build_singlet_ensemble(), build_ghz_ensemble()):
@@ -395,8 +401,8 @@ class TestPinnedSeededValues:
         pins = {k: tuple(h / samples for h in v) for k, v in PINNED_HITS[samples, shards].items()}
         bell = mc_bell_estimate(REF_T1, REF_T2, samples, PINNED_SEED, shards)
         assert tuple(bell[label].estimate for label in ("AB", "BC", "AC")) == pins["bell"]
-        skewed = Ensemble.from_counts(
-            (SingletBoxing.from_first(AttributeTriple(d, r, s)), count)
+        skewed = ensemble_from_counts(
+            (SingletBoxing(AttributeTriple(d, r, s)), count)
             for (d, r, s), count in zip(
                 itertools.product((1, -1), repeat=3), (5, 1, 0, 3, 9, 1, 2, 7)
             )
@@ -407,7 +413,7 @@ class TestPinnedSeededValues:
         # every rule-respecting box has product +1 on each pattern, so any
         # draws give this report
         ghz = mc_classical_estimate(build_ghz_ensemble(), samples, PINNED_SEED, shards)
-        assert ghz == GhzSampleReport((1.0,) * 4, (True,) * 4, samples, PINNED_SEED)
+        assert ghz == GhzSampleReport((1.0,) * 4, (True,) * 4)
 
 
 class TestOrderDependence:

@@ -63,9 +63,13 @@ class TestTypes:
             AttributeTriple(1, 1, 1).get("shiny")
 
     def test_singlet_boxing_rule_enforced(self):
+        for t in ALL_TRIPLES:
+            box = SingletBoxing(t)
+            assert box.compartment2 == t.negated()
+            assert box == SingletBoxing(t) and hash(box) == hash(SingletBoxing(t))
+        # compartment 2 is derived, never given
         t = AttributeTriple(1, 1, -1)
-        SingletBoxing(t, t.negated())
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SingletBoxing(t, t)
 
     def test_ghz_boxing_rule_enforced(self):
@@ -83,7 +87,7 @@ class TestTypes:
 
     def test_ensemble_validation(self):
         t = AttributeTriple(1, 1, 1)
-        box = SingletBoxing.from_first(t)
+        box = SingletBoxing(t)
         with pytest.raises(ValueError):
             Ensemble(())
         with pytest.raises(ValueError):
@@ -102,11 +106,11 @@ class TestTypes:
 
     def test_from_counts_drops_zero_rows_and_normalizes(self):
         t0, t1 = ALL_TRIPLES[0], ALL_TRIPLES[1]
-        ens = Ensemble.from_counts(
+        ens = oracles.ensemble_from_counts(
             [
-                (SingletBoxing.from_first(t0), 3),
-                (SingletBoxing.from_first(t1), 1),
-                (SingletBoxing.from_first(ALL_TRIPLES[2]), 0),
+                (SingletBoxing(t0), 3),
+                (SingletBoxing(t1), 1),
+                (SingletBoxing(ALL_TRIPLES[2]), 0),
             ]
         )
         assert len(ens.entries) == 2
@@ -170,7 +174,7 @@ class TestBellCheck:
 
     def test_every_point_mass_satisfies(self):
         for t in ALL_TRIPLES:
-            ens = Ensemble(((SingletBoxing.from_first(t), Fraction(1)),))
+            ens = Ensemble(((SingletBoxing(t), Fraction(1)),))
             assert bell_check(ens).satisfied
 
     @settings(max_examples=300, deadline=None)
@@ -178,8 +182,8 @@ class TestBellCheck:
     def test_random_mixtures_satisfy_exactly(self, counts):
         # integer counts over the 8 boxings give every rational mixture of
         # them, point masses and mixtures of a few boxings included
-        boxings = [SingletBoxing.from_first(t) for t in ALL_TRIPLES]
-        report = bell_check(Ensemble.from_counts(zip(boxings, counts)))
+        boxings = [SingletBoxing(t) for t in ALL_TRIPLES]
+        report = bell_check(oracles.ensemble_from_counts(zip(boxings, counts)))
         assert report.satisfied
         assert report.bell_lhs >= report.p_AC
 
@@ -209,7 +213,7 @@ class TestParityProduct:
         boxes = [GhzBoxing(a.dark, a.round, swiss)
                  for a in enumerate_ghz_lhv().survivors for swiss in (1, -1)]
         assert len(set(boxes)) == 16
-        ens = Ensemble.from_counts(zip(boxes, counts))
+        ens = oracles.ensemble_from_counts(zip(boxes, counts))
         for pattern in PARITY_PATTERNS:
             report = parity_product(ens, pattern)
             assert report.constant == 1
@@ -233,11 +237,16 @@ class TestEnumeration:
 
     def test_singlet_vertices_match_point_mass_probabilities(self):
         for vertex in enumerate_singlet_lhv().vertices:
-            ens = Ensemble(((SingletBoxing.from_first(vertex.triple), Fraction(1)),))
+            ens = Ensemble(((SingletBoxing(vertex.triple), Fraction(1)),))
             report = bell_check(ens)
             assert report.p_AB == vertex.i_AB
             assert report.p_BC == vertex.i_BC
             assert report.p_AC == vertex.i_AC
+
+    def test_singlet_vertices_are_the_designed_boxings_in_order(self):
+        # lhv-enumerate singlet prints the vertices in this order
+        designed = [b.compartment1 for b, _ in build_singlet_ensemble().entries]
+        assert [v.triple for v in enumerate_singlet_lhv().vertices] == designed
 
     def test_ghz_certificate(self):
         cert = enumerate_ghz_lhv()
@@ -259,7 +268,8 @@ class TestEnumeration:
 MIXTURES = st.tuples(
     st.sampled_from([build_singlet_ensemble, build_ghz_ensemble]),
     st.lists(st.integers(0, 10**6), min_size=8, max_size=8).filter(any),
-).map(lambda spec: Ensemble.from_counts(zip((b for b, _ in spec[0]().entries), spec[1])))
+).map(lambda spec: oracles.ensemble_from_counts(
+    zip((b for b, _ in spec[0]().entries), spec[1])))
 
 
 class TestSampling:
