@@ -23,7 +23,7 @@ import operator
 import os
 import shutil
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -288,11 +288,11 @@ def parse_args(argv=None) -> RunConfig:
     return config
 
 
-def _bell_fields(fields, theta1_deg, theta2_deg, p_ab, p_ac) -> tuple:
+def _bell_fields(values, theta1_deg, theta2_deg, p_ab, p_ac) -> tuple:
     """BELL_POINT_KEYS values: those that read one angle given, the rest
-    looked up by BellPoint field name in fields."""
-    return (theta1_deg, theta2_deg, p_ab, fields["p_q_BC"], p_ac, fields["bell_gap"],
-            fields["violated"])
+    looked up by BellPoint field name in values."""
+    return (theta1_deg, theta2_deg, p_ab, values["p_q_BC"], p_ac, values["bell_gap"],
+            values["violated"])
 
 
 def _cmd_singlet_bell(config: RunConfig):
@@ -515,8 +515,7 @@ _HANDLERS = {
 
 def run(config: RunConfig) -> ReportEnvelope:
     results, table = _HANDLERS[config.command](config)
-    echo = asdict(config)
-    del echo["command"]
+    echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "command"}
     sampled = config.samples is not None
     if not sampled:
         echo["seed"] = None  # the seed is used only when something is sampled

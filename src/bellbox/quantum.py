@@ -48,6 +48,7 @@ class MeasurementAxis:
     theta: float
     phi: float = 0.0
     basis: np.ndarray = field(init=False, repr=False, compare=False)
+    _operator: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
@@ -72,8 +73,12 @@ class MeasurementAxis:
         object.__setattr__(self, "basis", basis)
 
     def operator(self) -> np.ndarray:
-        """2x2 Hermitian matrix of the spin component along this axis."""
-        return (self.basis * [1, -1]) @ self.basis.conj().T
+        """Read-only 2x2 Hermitian matrix of the spin component along this axis, built on
+        the first call: at construction it would start BLAS where nothing is measured."""
+        if self._operator is None:
+            object.__setattr__(self, "_operator", (self.basis * [1, -1]) @ self.basis.conj().T)
+            self._operator.flags.writeable = False
+        return self._operator
 
 
 X_AXIS = MeasurementAxis(math.pi / 2.0, 0.0)
@@ -214,6 +219,13 @@ def _check_measurement_args(
             raise ValueError("outcome signs must be +1 or -1")
 
 
+def _contract(matrix: np.ndarray, tensor: np.ndarray, k: int) -> np.ndarray:
+    """matrix (rows x 2) times site k of tensor, in np.tensordot's steps and so with its
+    bits: site k first, the other sites flattened in order, one np.dot."""
+    order = [k, *range(k), *range(k + 1, tensor.ndim)]
+    return np.dot(matrix, tensor.transpose(order).reshape(2, -1))
+
+
 def joint_outcome_prob(
     state: PureState,
     axes: Sequence[MeasurementAxis | None],
@@ -223,23 +235,24 @@ def joint_outcome_prob(
 
     Sites with axis None are left unmeasured, giving the marginal probability
     over their outcomes.  Over all sign patterns on the measured sites the
-    probabilities sum to 1.
+    probabilities sum to 1.  Reports print residues near 1e-32, so the order
+    stays: one measured site at a time, the last first (so the remaining sites
+    keep their positions), then the sum of the squared moduli.
     """
     _check_measurement_args(state.num_sites, axes, outcomes)
     tensor = state.as_tensor()
-    # contract measured sites from the last axis down so the remaining
-    # axis positions stay valid
     for k in range(state.num_sites - 1, -1, -1):
         axis, outcome = axes[k], outcomes[k]
         if axis is None:
             continue
-        eigvec = axis.basis[:, 0 if outcome == 1 else 1]
-        tensor = np.tensordot(eigvec.conj(), tensor, axes=([0], [k]))
+        eigvec = axis.basis[:, 0 if outcome == 1 else 1].conj().reshape(1, 2)
+        tensor = _contract(eigvec, tensor, k).reshape(tensor.shape[1:])  # one site fewer
     return float(np.sum(np.abs(tensor) ** 2))
 
 
 def product_expectation(state: PureState, obs: ProductObservable) -> float:
-    """Expectation value of a product observable in the given state."""
+    """Expectation value of a product observable in the given state: the factors
+    applied one at a time, the first site first (the order reports' residues keep)."""
     n = state.num_sites
     if len(obs.factors) != n:
         raise ValueError(f"observable has {len(obs.factors)} factors for a {n}-site state")
@@ -247,7 +260,8 @@ def product_expectation(state: PureState, obs: ProductObservable) -> float:
     for k, factor in enumerate(obs.factors):
         if factor is None:
             continue
-        tensor = np.moveaxis(np.tensordot(factor.operator(), tensor, axes=([1], [k])), 0, k)
+        moved = _contract(factor.operator(), tensor, k).reshape(tensor.shape)
+        tensor = moved.transpose([*range(1, k + 1), 0, *range(k + 1, n)])  # site k back
     value = np.vdot(state.amplitudes, tensor.reshape(-1))
     if abs(value.imag) > ATOL:
         raise ValueError("expectation of a Hermitian product came out non-real")

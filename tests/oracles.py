@@ -2,10 +2,12 @@
 
 closed_form_sequential is the textbook formula for the sequential
 measurements.  unit_vector is an axis's direction in Cartesian
-coordinates.  axis_eigenvectors and joint_outcome_prob are bellbox's
-earlier Born rule, which rebuilt an axis's eigenvectors on every call; the
-axis's stored eigenbasis and quantum.joint_outcome_prob must give the same
-bits, since reports print their residues.  bell_sweep_records is
+coordinates.  axis_eigenvectors, joint_outcome_prob and product_expectation
+are bellbox's earlier Born rule, which rebuilt an axis's eigenvectors and
+operator on every call and contracted each site with np.tensordot; the
+axis's stored eigenbasis and operator, quantum.joint_outcome_prob and
+quantum.product_expectation must give the same bits, since reports print
+their residues.  bell_sweep_records is
 bellbox's earlier sweep, which built each field over the whole grid and
 then copied them into records; quantum_bell_sweep computes a block of rows
 at a time and holds the one-angle probability once per axis value, and
@@ -78,6 +80,21 @@ def joint_outcome_prob(amplitudes: np.ndarray, angles, outcomes) -> float:
         eigvec = plus if outcomes[k] == 1 else minus
         tensor = np.tensordot(eigvec.conj(), tensor, axes=([0], [k]))
     return float(np.sum(np.abs(tensor) ** 2))
+
+
+def product_expectation(amplitudes: np.ndarray, factors) -> float:
+    """Expectation of a product of spin components, one (theta, phi) pair or
+    None (identity) per site, applying the first site's operator first and
+    moving its site back into place after each contraction."""
+    num_sites = amplitudes.shape[0].bit_length() - 1
+    tensor = amplitudes.reshape((2,) * num_sites)
+    for k, angles in enumerate(factors):
+        if angles is None:
+            continue
+        basis = np.column_stack(axis_eigenvectors(*angles))
+        operator = (basis * [1, -1]) @ basis.conj().T
+        tensor = np.moveaxis(np.tensordot(operator, tensor, axes=([1], [k])), 0, k)
+    return float(np.vdot(amplitudes, tensor.reshape(-1)).real)
 
 
 def draw_indices(probs, rng: np.random.Generator, count: int) -> np.ndarray:

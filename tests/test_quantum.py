@@ -159,6 +159,10 @@ class TestEigenstates:
             assert abs(np.vdot(plus.amplitudes, minus.amplitudes)) < 1e-12
 
 
+# the (theta, phi) of the x and y axes, the GHZ parity patterns' factors
+_X, _Y = (math.pi / 2, 0.0), (math.pi / 2, math.pi / 2)
+
+
 class TestEigenbasisOracle:
     """The stored eigenbasis and the Born rule give the bits of the earlier
     per-call formula: ghz-parity and state-report print residues near 1e-32."""
@@ -181,6 +185,28 @@ class TestEigenbasisOracle:
         for outcomes in itertools.product(*[(1, -1) if a else (None,) for a in axes]):
             assert joint_outcome_prob(state, axes, outcomes) == oracles.joint_outcome_prob(
                 state.amplitudes, canonical, outcomes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(states(), st.lists(st.none() | st.tuples(FINITE, FINITE), min_size=3, max_size=3))
+    @example(ghz_state(), [_X, _X, _X])
+    @example(ghz_state(), [_X, _Y, _Y])
+    @example(ghz_state(), [_Y, _X, _Y])
+    @example(ghz_state(), [_Y, _Y, _X])
+    def test_product_expectation_equals_the_oracle(self, state, angles):
+        factors = tuple(None if a is None else MeasurementAxis(*a) for a in angles[: state.num_sites])
+        canonical = [None if a is None else (a.theta, a.phi) for a in factors]
+        assert product_expectation(state, ProductObservable(factors)) == oracles.product_expectation(
+            state.amplitudes, canonical)
+
+    @settings(max_examples=300, deadline=None)
+    @given(FINITE, FINITE)
+    def test_operator_is_built_once_from_the_eigenbasis(self, theta, phi):
+        axis = MeasurementAxis(theta, phi)
+        operator = axis.operator()
+        assert operator is axis.operator()
+        assert operator.tobytes() == ((axis.basis * [1, -1]) @ axis.basis.conj().T).tobytes()
+        with pytest.raises(ValueError):
+            operator[0, 0] = 0.5
 
 
 class TestSharedStates:
