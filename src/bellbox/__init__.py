@@ -17,6 +17,7 @@ from .quantum import (
     maximally_mixed,
     partial_trace,
     joint_outcome_prob,
+    joint_outcome_probs,
     product_expectation,
     sequential_measure_prob,
     singlet_invariance_residual,

@@ -1,11 +1,11 @@
 """Command-line surface and deterministic report emission.
 
 Angles are taken in degrees on the command line and converted to radians
-internally.  Exit codes: 0 success, 1 usage or I/O problems or running out
-of memory, 2 a physics assertion failed (a value the theory pins down came
-out wrong).  JSON reports carry a schema_version and validate against
-report_schema.json shipped next to this module; identical invocations produce
-byte-identical output.
+internally.  Exit codes: 0 success, 1 usage or I/O problems, running out
+of memory or a failed lazy import, 2 a physics assertion failed (a value the
+theory pins down came out wrong).  JSON reports carry a schema_version and
+validate against report_schema.json shipped next to this module; identical
+invocations produce byte-identical output.
 
 Relative --output paths resolve against the BELLBOX_OUTPUT_DIR environment
 variable when it is set.
@@ -17,15 +17,15 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import math
 import operator
 import os
-import shutil
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from pathlib import Path
+from json.encoder import encode_basestring_ascii
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -532,39 +532,27 @@ def run(config: RunConfig) -> ReportEnvelope:
 _number_text = "{:.12g}".format
 
 
-def _jsonify(value, tables: list):
-    """JSON-ready copy of value.  Each Table is appended to tables and stands
-    in the copy as a placeholder string, replaced by _render_json."""
+def _scalar(value):
+    """A report scalar's JSON value, the rule the JSON writer and _cell read:
+    a bool, int, None, str (a Fraction's "n/d") or a float to 12 digits."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (float, np.floating)):
         return float(_number_text(float(value)))
     if value is None or isinstance(value, str):
         return value
-    if isinstance(value, Table):
-        tables.append(value)
-        return _placeholder(len(tables) - 1)
-    if isinstance(value, dict):
-        return {k: _jsonify(v, tables) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v, tables) for v in value]
+    if isinstance(value, Fraction):  # last: an isinstance check on an ABC is slow
+        return f"{value.numerator}/{value.denominator}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _placeholder(index: int) -> str:
-    # no argv string can hold a NUL, so no other string in a report matches
-    return f"\0table{index}"
 
 
 def _cell(value) -> str:
     """A scalar's text: a float's _number_text, else its JSON value as text."""
     if isinstance(value, (float, np.floating)):
         return _number_text(float(value))
-    value = _jsonify(value, [])
+    value = _scalar(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -723,14 +711,14 @@ def _row_blocks(table: Table, cells):
 def _json_rows(table: Table, indent: str):
     """The table as json.dumps(indent=2) writes a list of objects whose
     opening line is indented by indent, in chunks: each cell is the JSON
-    text of its value, as json.dumps writes _jsonify's copy of it.  Its
+    text of its value, as _json_parts writes it.  Its
     columns must be finite float64 or bool, or coded columns of such
     values."""
     if not len(table):
         yield "[]"
         return
     inner = indent + "  "
-    keys = [json.dumps(key) + ": " for key in table.header]
+    keys = [encode_basestring_ascii(key) + ": " for key in table.header]
     # each row opens with the comma after the row before; the first's is "["
     befores = [",\n" + inner + "{\n" + inner + "  " + keys[0]]
     befores += [",\n" + inner + "  " + key for key in keys[1:]]
@@ -766,30 +754,58 @@ def _flatten_leaves(value, prefix: str = ""):
         yield prefix, value
 
 
-def _envelope_doc(env: ReportEnvelope, tables: list) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": TOOL_NAME, "version": __version__},
-        "command": env.command,
-        "config": _jsonify(env.config, tables),
-        "provenance": _jsonify(env.provenance, tables),
-        "results": _jsonify(env.results, tables),
-    }
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+               "True": "true", "False": "false", "None": "null"}
+
+
+def _json_parts(value, indent: str, parts: list, tables: list) -> None:
+    """Appends to parts json.dumps(indent=2)'s text of value's JSON value
+    (scalars by _scalar) opening at indent: strings, and for each Table its
+    row generator (_json_rows), whose index goes to tables.  Keys must be str."""
+    if not isinstance(value, (dict, list, tuple, Table)):
+        value = _scalar(value)
+        if isinstance(value, str):
+            parts.append(encode_basestring_ascii(value))
+        else:  # a bool, None, or an int's or float's repr, as json writes them
+            text = repr(value)
+            parts.append(_JSON_WORDS.get(text, text))
+    elif isinstance(value, Table):
+        tables.append(len(parts))
+        parts.append(_json_rows(value, indent))
+    elif not value:
+        parts.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        before = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"a report key must be a str, not {type(key).__name__}")
+            parts.append(before + encode_basestring_ascii(key) + ": ")
+            _json_parts(item, inner, parts, tables)
+            before = ",\n" + inner
+        parts.append("\n" + indent + "}")
+    else:
+        inner = indent + "  "
+        before = "[\n" + inner
+        for item in value:
+            parts.append(before)
+            _json_parts(item, inner, parts, tables)
+            before = ",\n" + inner
+        parts.append("\n" + indent + "]")
 
 
 def _render_json(env: ReportEnvelope):
-    tables = []
-    text = json.dumps(_envelope_doc(env, tables), indent=2) + "\n"
+    parts, tables = [], []
+    tool = {"name": TOOL_NAME, "version": __version__}
+    _json_parts({"schema_version": SCHEMA_VERSION, "tool": tool, "command": env.command,
+                 "config": env.config, "provenance": env.provenance, "results": env.results},
+                "", parts, tables)
     start = 0
-    for index, table in enumerate(tables):
-        token = json.dumps(_placeholder(index))
-        at = text.index(token, start)
-        line = text[text.rindex("\n", 0, at) + 1:at]
-        indent = line[: len(line) - len(line.lstrip(" "))]
-        yield text[start:at]
-        yield from _json_rows(table, indent)
-        start = at + len(token)
-    yield text[start:]
+    for at in tables:  # the text before each Table inside results, then its rows
+        yield "".join(parts[start:at])
+        yield from parts[at]
+        start = at + 1
+    yield "".join(parts[start:]) + "\n"
 
 
 def _csv_field(text: str, alone: bool) -> str:
@@ -884,13 +900,16 @@ def render(env: ReportEnvelope, fmt: str) -> str:
     return "".join(_chunks(env, fmt))
 
 
-def resolve_output_path(destination: str) -> Path:
-    path = Path(destination)
-    if not path.is_absolute():
+def resolve_output_path(destination: str) -> str:
+    """destination, under the output directory if relative, in pathlib's form."""
+    path = destination
+    if not os.path.isabs(path):
         base = os.environ.get(OUTPUT_DIR_ENV)
         if base:
-            path = Path(base) / path
-    return path
+            path = os.path.join(base, path)
+    # pathlib drops "." parts and extra slashes; normpath also folds "..",
+    # which pathlib, like the file system, keeps
+    return path if os.path.normpath(path) == path else str(PurePath(path))
 
 
 @contextlib.contextmanager
@@ -898,9 +917,9 @@ def _output(destination: str | None):
     """The stream a report is written to; destination None means stdout.
 
     A file gets the whole report or keeps its old bytes: the report goes to
-    a new file beside the target (symlinks resolved), renamed over it once
-    written and removed if writing fails.  A target that exists and is not
-    a regular file (a FIFO, /dev/stdout on a pipe) is written in place."""
+    a new file beside the target (the file a symlink names, for a symlink),
+    renamed over it once written and removed if writing fails.  A target that
+    exists and is not a regular file (a FIFO, /dev/stdout) is written in place."""
     if destination is None:
         # sys.stdout is None when the process started with stdout closed
         if sys.stdout is None:
@@ -910,23 +929,27 @@ def _output(destination: str | None):
     path = resolve_output_path(destination)
     # os.stat follows /dev/stdout to the pipe or terminal it stands for,
     # where the path realpath gives for it may not exist
-    if os.path.exists(path) and not os.path.isfile(path):
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as out:
             yield out
         return
-    target = os.path.realpath(path)
+    target = os.path.realpath(path) if os.path.islink(path) else path
     temp = os.path.join(os.path.dirname(target), f".{TOOL_NAME}-{os.urandom(6).hex()}.tmp")
     try:
         # mode 0o666 less the umask, as open gives a new file
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
-        exc.filename = str(path)
+        exc.filename = path
         raise
     try:
         with open(fd, "w", encoding="utf-8") as out:
             yield out
-        if os.path.exists(target):
-            shutil.copymode(target, temp)  # an old file keeps its mode
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))  # an old file keeps its mode
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
@@ -956,5 +979,8 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:
         print(f"{TOOL_NAME}: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
+    except ImportError as exc:  # numpy.random, imported on first use, under a memory limit
+        print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
         return 1
     return 0

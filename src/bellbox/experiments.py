@@ -45,6 +45,7 @@ from .quantum import (
     MeasurementAxis,
     ghz_state,
     joint_outcome_prob,
+    joint_outcome_probs,
     maximally_mixed,
     pauli_observable,
     principal_angle,
@@ -431,11 +432,11 @@ def impossible_outcomes_check() -> ImpossibleOutcomesReport:
     outcome patterns must have probability 0 and the four positive-parity
     patterns probability 1/4 each."""
     state = ghz_state()
+    patterns = list(itertools.product((1, -1), repeat=3))
     rows = []
     for setting in MIXED_PATTERNS:
-        axes = pauli_observable(setting).factors
-        for signs in itertools.product((1, -1), repeat=3):
-            prob = joint_outcome_prob(state, axes, signs)
+        probs = joint_outcome_probs(state, pauli_observable(setting).factors, patterns)
+        for signs, prob in zip(patterns, probs):
             expected = 0.25 if signs[0] * signs[1] * signs[2] == 1 else 0.0
             rows.append(
                 OutcomeRow(setting, signs, prob, expected, abs(prob - expected) <= ATOL)

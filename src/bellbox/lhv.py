@@ -149,12 +149,15 @@ class Ensemble:
         return type(self.entries[0][0])
 
 
+_SINGLET_ENSEMBLE = Ensemble(tuple(
+    (SingletBoxing(AttributeTriple(*signs)), Fraction(1, 8))
+    for signs in itertools.product((1, -1), repeat=3)))
+
+
 def build_singlet_ensemble() -> Ensemble:
     """Uniform mixture of the eight rule-respecting two-compartment boxings,
-    compartment 1 ranging over all attribute triples."""
-    w = Fraction(1, 8)
-    triples = (AttributeTriple(*signs) for signs in itertools.product((1, -1), repeat=3))
-    return Ensemble(tuple((SingletBoxing(t), w) for t in triples))
+    compartment 1 ranging over all attribute triples; one shared object."""
+    return _SINGLET_ENSEMBLE
 
 
 # The eight designed three-compartment boxings, as (dark signs, round signs)
@@ -170,16 +173,14 @@ _GHZ_ROWS = (
     ((1, 1, 1), (1, 1, 1)),
     ((1, 1, 1), (-1, -1, -1)),
 )
+_GHZ_ENSEMBLE = Ensemble(tuple(
+    (GhzBoxing(dark, rnd, 1 if i < 4 else -1), Fraction(1, 8))
+    for i, (dark, rnd) in enumerate(_GHZ_ROWS)))
 
 
 def build_ghz_ensemble() -> Ensemble:
-    """Uniform mixture of the eight designed three-compartment boxings."""
-    w = Fraction(1, 8)
-    entries = []
-    for i, (dark, rnd) in enumerate(_GHZ_ROWS):
-        swiss = 1 if i < 4 else -1
-        entries.append((GhzBoxing(dark, rnd, swiss), w))
-    return Ensemble(tuple(entries))
+    """Uniform mixture of the eight designed three-compartment boxings; one shared object."""
+    return _GHZ_ENSEMBLE
 
 
 # The three coincidences the inequality compares, p_AB, p_BC and p_AC, as

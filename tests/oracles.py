@@ -7,11 +7,18 @@ are bellbox's earlier Born rule, which rebuilt an axis's eigenvectors and
 operator on every call and contracted each site with np.tensordot; the
 axis's stored eigenbasis and operator, quantum.joint_outcome_prob and
 quantum.product_expectation must give the same bits, since reports print
-their residues.  bell_sweep_records is
+their residues.  born_prob is joint_outcome_prob's earlier body, which
+contracted every pattern from the whole state; each entry of
+quantum.joint_outcome_probs, which contracts a suffix of outcomes shared by
+several patterns once, must have its bits.  bell_sweep_records is
 bellbox's earlier sweep, which built each field over the whole grid and
 then copied them into records; quantum_bell_sweep computes a block of rows
 at a time and holds the one-angle probability once per axis value, and
-sweep_records must expand what it holds to the same bytes.  The render_*
+sweep_records must expand what it holds to the same bytes.  jsonify and
+json_text are bellbox's earlier JSON path, a JSON-ready copy of the report
+then json.dumps(indent=2), each Table inside results standing in the copy
+as a placeholder string that render_json replaces with its rows; cli's
+one-walk writer must give the same text.  The render_*
 functions render a report a row at a time: csv.writer for CSV, and one
 %-template per row for the text table and for the JSON rows of a Table
 inside results.  The text template pads every column but the last to its
@@ -32,6 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import bellbox
 from bellbox import cli, experiments, quantum
 from bellbox.lhv import Ensemble
 from bellbox.quantum import MeasurementAxis
@@ -79,6 +87,20 @@ def joint_outcome_prob(amplitudes: np.ndarray, angles, outcomes) -> float:
         plus, minus = axis_eigenvectors(*angles[k])
         eigvec = plus if outcomes[k] == 1 else minus
         tensor = np.tensordot(eigvec.conj(), tensor, axes=([0], [k]))
+    return float(np.sum(np.abs(tensor) ** 2))
+
+
+def born_prob(state: quantum.PureState, axes, outcomes) -> float:
+    """quantum.joint_outcome_prob of one pattern as it was before the Born
+    table: the same steps, each pattern contracted from the whole state."""
+    quantum._check_measurement_args(state.num_sites, axes, outcomes)
+    tensor = state.as_tensor()
+    for k in range(state.num_sites - 1, -1, -1):
+        axis, outcome = axes[k], outcomes[k]
+        if axis is None:
+            continue
+        eigvec = axis.basis[:, 0 if outcome == 1 else 1].conj().reshape(1, 2)
+        tensor = quantum._contract(eigvec, tensor, k).reshape(tensor.shape[1:])
     return float(np.sum(np.abs(tensor) ** 2))
 
 
@@ -186,11 +208,51 @@ def _json_rows(table: cli.Table, indent: str) -> str:
     return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
 
 
+def jsonify(value, tables: list):
+    """JSON-ready copy of value.  Each Table is appended to tables and stands
+    in the copy as a placeholder string, replaced by render_json."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (float, np.floating)):
+        return float(cli._number_text(float(value)))
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, cli.Table):
+        tables.append(value)
+        return _placeholder(len(tables) - 1)
+    if isinstance(value, dict):
+        return {k: jsonify(v, tables) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonify(v, tables) for v in value]
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def json_text(value) -> str:
+    """json.dumps(indent=2) of value's JSON-ready copy, for a value without
+    Tables."""
+    return json.dumps(jsonify(value, []), indent=2)
+
+
+def _placeholder(index: int) -> str:
+    # no argv string can hold a NUL, so no other string in a report matches
+    return f"\0table{index}"
+
+
 def render_json(env: cli.ReportEnvelope) -> str:
     tables = []
-    text = json.dumps(cli._envelope_doc(env, tables), indent=2) + "\n"
+    doc = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "tool": {"name": cli.TOOL_NAME, "version": bellbox.__version__},
+        "command": env.command,
+        **{key: jsonify(getattr(env, key), tables) for key in ("config", "provenance", "results")},
+    }
+    text = json.dumps(doc, indent=2) + "\n"
     for index in reversed(range(len(tables))):
-        token = json.dumps(cli._placeholder(index))
+        token = json.dumps(_placeholder(index))
         at = text.rindex(token)
         line = text[text.rindex("\n", 0, at) + 1:at]
         indent = line[: len(line) - len(line.lstrip(" "))]

@@ -30,7 +30,7 @@ from bellbox import cli
 from bellbox.cli import SCHEMA_PATH, main, parse_args, render, run
 from bellbox import experiments, lhv
 from bellbox.experiments import PhysicsAssertionError
-from oracles import RENDERERS, sweep_records
+from oracles import RENDERERS, json_text, sweep_records
 
 # one argv per distinct report shape the schema must cover
 VARIANTS = [
@@ -891,6 +891,40 @@ def test_json_numbers_match_oracle_at_layout_edges():
     assert render(env, "json") == RENDERERS["json"](env)
 
 
+# the scalars a report's JSON may hold: str with non-ASCII, quote and
+# control characters, Python and numpy numbers and bools, Fractions, signed
+# zeros and non-finite floats, and None
+JSON_SCALARS = (
+    st.text()
+    | st.text(alphabet=['"', "\\", "\x00", "\x1f", "\n", "\x7f", "\u00e9", "\u2028", "\U0001f600"])
+    | st.integers() | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.integers(0, 255).map(np.uint8)
+    | st.floats() | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.booleans() | st.booleans().map(np.bool_) | st.fractions()
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, None])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"empty": {}, "none": [], "nested": [[], {}, ()], "tuple": (1, "a")})
+def test_json_writer_is_json_dumps_of_the_jsonified_copy(value):
+    parts, tables = [], []
+    cli._json_parts(value, "", parts, tables)
+    assert "".join(parts) == json_text(value) and tables == []
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{(1, 2): 3}], {Fraction(1, 2): 0}])
+def test_json_writer_rejects_a_key_that_is_not_a_str(value):
+    with pytest.raises(TypeError, match="key must be a str"):
+        cli._json_parts(value, "", [], [])
+
+
 @pytest.mark.parametrize("fmt", sorted(RENDERERS))
 def test_report_is_written_a_block_at_a_time(fmt, tmp_path, monkeypatch):
     writes = []
@@ -977,7 +1011,7 @@ def test_output_file_holds_the_stdout_bytes(argv, fmt, tmp_path, capsys):
     assert fmt != "text" or all(line == line.rstrip() for line in out.split("\n"))
 
 
-_born, _closed_form = experiments.joint_outcome_prob, experiments._closed_form_probs
+_born_table, _closed_form = experiments.joint_outcome_probs, experiments._closed_form_probs
 # the bell_gap field stored at single precision, every other field as before
 _SINGLE_GAP = np.dtype([(name, np.float32 if name == "bell_gap" else dtype)
                         for name, (dtype, _) in experiments.BELL_POINT_DTYPE.fields.items()])
@@ -992,8 +1026,8 @@ CHECK_BREAKS = {
         ["ghz-parity"],
     ),
     "an outcome probability missed its 0-or-1/4 target": (
-        lambda mp: mp.setattr(experiments, "joint_outcome_prob",
-                              lambda *args: _born(*args) + 1e-6),
+        lambda mp: mp.setattr(experiments, "joint_outcome_probs",
+                              lambda *args: [p + 1e-6 for p in _born_table(*args)]),
         ["ghz-parity"],
     ),
     "parity enumeration certificate failed": (
@@ -1165,6 +1199,87 @@ class TestOutputAndExitCodes:
         assert real.read_bytes() == render(run(parse_args(["order-demo", "--format", "csv"])),
                                            "csv").encode()
         assert sorted(tmp_path.rglob("*")) == [link, tmp_path / "real", real]
+
+    def test_dangling_symlinked_output_creates_the_link_target(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        link = tmp_path / "link.csv"
+        link.symlink_to(os.path.join("real", "report.csv"))
+        assert main(["order-demo", "--format", "csv", "--output", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == os.path.join("real", "report.csv")
+        assert (tmp_path / "real" / "report.csv").read_bytes() == render(
+            run(parse_args(["order-demo", "--format", "csv"])), "csv").encode()
+        assert sorted(tmp_path.rglob("*")) == [link, tmp_path / "real", tmp_path / "real" / "report.csv"]
+
+    def test_output_through_a_symlinked_directory(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "linkdir").symlink_to("real")
+        assert main(["order-demo", "--format", "csv", "--output", str(tmp_path / "linkdir" / "r.csv")]) == 0
+        assert (tmp_path / "linkdir").is_symlink()
+        assert (tmp_path / "real" / "r.csv").read_bytes() == render(
+            run(parse_args(["order-demo", "--format", "csv"])), "csv").encode()
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "linkdir", tmp_path / "real",
+                                               tmp_path / "real" / "r.csv"]
+
+    def test_dotdot_after_a_symlinked_directory_is_the_link_targets_parent(self, tmp_path, monkeypatch):
+        # the file system takes ".." from where linkdir leads, a/b, not from
+        # where the link sits
+        (tmp_path / "a" / "b").mkdir(parents=True)
+        (tmp_path / "linkdir").symlink_to(os.path.join("a", "b"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["order-demo", "--format", "csv", "--output", "linkdir/../r.csv"]) == 0
+        assert (tmp_path / "a" / "r.csv").read_bytes() == render(
+            run(parse_args(["order-demo", "--format", "csv"])), "csv").encode()
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", tmp_path / "a" / "b",
+                                               tmp_path / "a" / "r.csv", tmp_path / "linkdir"]
+
+    def test_missing_directory_error_names_the_path_as_pathlib_writes_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for destination in ("./missing/r.json", "missing//r.json", "missing/./r.json/"):
+            assert main(["order-demo", "--output", destination]) == 1
+            assert capsys.readouterr().err == (
+                "bellbox: [Errno 2] No such file or directory: 'missing/r.json'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trailing_slash_and_dot_parts_name_the_same_file(self, tmp_path, monkeypatch):
+        (tmp_path / "d").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["order-demo", "--format", "csv", "--output", "d/./r.csv/"]) == 0
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "d", tmp_path / "d" / "r.csv"]
+
+    @pytest.mark.parametrize("argv", sorted(a for a in STDOUT_DIGESTS if not a.endswith("--help")))
+    def test_written_report_holds_the_pinned_stdout_bytes(self, argv, tmp_path):
+        target = tmp_path / "report"
+        assert main([*argv.split(), "--output", str(target)]) == 0
+        text = target.read_text()
+        fmt = argv.split()[-1]
+        if fmt != "csv":
+            # json and text echo the path, where the report on stdout echoes none
+            echo, unechoed = {"json": (f'"output": {json.dumps(str(target))}', '"output": null'),
+                              "text": (f" output={target}", "")}[fmt]
+            assert text.count(echo) == 1
+            text = text.replace(echo, unechoed)
+        assert hashlib.sha256(text.encode()).hexdigest() == STDOUT_DIGESTS[argv]
+        # the temporary file was renamed over the target
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_lazy_import_exits_one(self, monkeypatch, tmp_path, capsys):
+        # numpy imports numpy.random on first use; under an address-space
+        # limit loading its shared libraries can fail
+        lazy = np.__getattr__
+
+        def failing(name):
+            if name == "random":
+                raise ImportError("_sfc64.so: failed to map segment from shared object")
+            return lazy(name)
+
+        monkeypatch.delattr(np, "random", raising=False)
+        monkeypatch.setattr(np, "__getattr__", failing)
+        argv = ["classical-mc", "singlet", "--samples", "100", "--output", str(tmp_path / "report")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == "bellbox: _sfc64.so: failed to map segment from shared object\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_file_mode_is_what_open_gives(self, tmp_path):
         old_umask = os.umask(0o027)

@@ -3,6 +3,7 @@
 Every probability here is a Fraction; equality assertions are exact, with no
 floating-point tolerance anywhere except the sampling-frequency test."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -143,6 +144,17 @@ class TestDesignedEnsembles:
         assert len({(b.dark, b.round) for b, _ in ens.entries}) == 8
         swiss = [b.swiss for b, _ in ens.entries]
         assert swiss.count(1) == 4 and swiss.count(-1) == 4
+
+    @pytest.mark.parametrize("build", [build_singlet_ensemble, build_ghz_ensemble],
+                             ids=["singlet", "ghz"])
+    def test_one_frozen_object(self, build):
+        ens = build()
+        assert ens is build()
+        assert isinstance(ens.entries, tuple) and all(type(e) is tuple for e in ens.entries)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ens.entries = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ens.entries[0][0].swiss = 1
 
     def test_ghz_marginals_are_half(self):
         ens = build_ghz_ensemble()

@@ -25,6 +25,7 @@ from bellbox.quantum import (
     axis_eigenstates,
     ghz_state,
     joint_outcome_prob,
+    joint_outcome_probs,
     maximally_mixed,
     mixed_vs_superposition_report,
     partial_trace,
@@ -185,6 +186,22 @@ class TestEigenbasisOracle:
         for outcomes in itertools.product(*[(1, -1) if a else (None,) for a in axes]):
             assert joint_outcome_prob(state, axes, outcomes) == oracles.joint_outcome_prob(
                 state.amplitudes, canonical, outcomes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([singlet_state(), ghz_state()]) | states(),
+           st.lists(st.none() | st.tuples(FINITE, FINITE), min_size=3, max_size=3),
+           st.data())
+    @example(ghz_state(), [_X, _Y, _Y], None)
+    @example(singlet_state(), [(0.0, 0.0), (1e300, -1e300), None], None)
+    def test_born_table_entries_equal_the_per_pattern_oracle(self, state, angles, data):
+        axes = [None if a is None else MeasurementAxis(*a) for a in angles[: state.num_sites]]
+        every = list(itertools.product(*[(1, -1) if a else (None,) for a in axes]))
+        # every pattern in report order, or a drawn list that may repeat some
+        patterns = every if data is None else data.draw(
+            st.lists(st.sampled_from(every), min_size=1, max_size=12))
+        table = joint_outcome_probs(state, axes, patterns)
+        assert [p.hex() for p in table] == [
+            oracles.born_prob(state, axes, outcomes).hex() for outcomes in patterns]
 
     @settings(max_examples=300, deadline=None)
     @given(states(), st.lists(st.none() | st.tuples(FINITE, FINITE), min_size=3, max_size=3))
