@@ -533,8 +533,9 @@ _number_text = "{:.12g}".format
 
 
 def _scalar(value):
-    """A report scalar's JSON value, the rule the JSON writer and _cell read:
-    a bool, int, None, str (a Fraction's "n/d") or a float to 12 digits."""
+    """A report scalar's JSON value, the rule the JSON writer and _cell read
+    for a type _TEXT_RULES does not hold: a bool, int, None, str (a
+    Fraction's "n/d") or a float to 12 digits."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -544,18 +545,54 @@ def _scalar(value):
     if value is None or isinstance(value, str):
         return value
     if isinstance(value, Fraction):  # last: an isinstance check on an ABC is slow
-        return f"{value.numerator}/{value.denominator}"
+        return _fraction_text(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _cell(value) -> str:
     """A scalar's text: a float's _number_text, else its JSON value as text."""
+    rules = _TEXT_RULES.get(type(value))
+    if rules is not None:
+        return rules[0](value)
     if isinstance(value, (float, np.floating)):
         return _number_text(float(value))
     value = _scalar(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def _bool_text(value) -> str:
+    return "true" if value else "false"
+
+
+def _fraction_text(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _json_float(value: float) -> str:
+    """json.dumps of a float's _scalar value."""
+    text = repr(float(_number_text(value)))
+    return _JSON_WORDS.get(text, text)
+
+
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+               "True": "true", "False": "false", "None": "null"}
+
+# The (_cell text, JSON text) rules of each scalar type reports hold, looked
+# up by exact type: the texts _scalar's isinstance chain gives these types,
+# without the chain.  _cell and _json_parts take _scalar for any other type.
+_TEXT_RULES = {
+    bool: (_bool_text, _bool_text),
+    np.bool_: (_bool_text, _bool_text),
+    int: (str, repr),
+    float: (_number_text, _json_float),
+    np.float64: (lambda value: _number_text(float(value)),
+                 lambda value: _json_float(float(value))),
+    str: (str, encode_basestring_ascii),
+    type(None): (str, lambda value: "null"),
+    Fraction: (_fraction_text, lambda value: encode_basestring_ascii(_fraction_text(value))),
+}
 
 
 def _is_column(column, dtype) -> bool:
@@ -741,28 +778,31 @@ def _json_rows(table: Table, indent: str):
     yield "\n" + indent + "]"
 
 
-def _flatten_leaves(value, prefix: str = ""):
-    """Depth-first (path, leaf) pairs: a dict adds ".key" to the path, a list
-    or tuple "[i]"."""
+def _flatten_leaves(value, prefix: str = "", leaves: list | None = None) -> list:
+    """The depth-first (path, leaf) pairs under value, appended to leaves (a
+    new list if None): a dict adds ".key" to the path, a list or tuple "[i]"."""
+    if leaves is None:
+        leaves = []
     if isinstance(value, dict):
         for k, v in value.items():
-            yield from _flatten_leaves(v, f"{prefix}.{k}" if prefix else str(k))
+            _flatten_leaves(v, f"{prefix}.{k}" if prefix else str(k), leaves)
     elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
-            yield from _flatten_leaves(v, f"{prefix}[{i}]")
+            _flatten_leaves(v, f"{prefix}[{i}]", leaves)
     else:
-        yield prefix, value
-
-
-_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
-               "True": "true", "False": "false", "None": "null"}
+        leaves.append((prefix, value))
+    return leaves
 
 
 def _json_parts(value, indent: str, parts: list, tables: list) -> None:
     """Appends to parts json.dumps(indent=2)'s text of value's JSON value
-    (scalars by _scalar) opening at indent: strings, and for each Table its
-    row generator (_json_rows), whose index goes to tables.  Keys must be str."""
-    if not isinstance(value, (dict, list, tuple, Table)):
+    (scalars by _TEXT_RULES, else _scalar) opening at indent: strings, and
+    for each Table its row generator (_json_rows), whose index goes to
+    tables.  Keys must be str."""
+    rules = _TEXT_RULES.get(type(value))
+    if rules is not None:
+        parts.append(rules[1](value))
+    elif not isinstance(value, (dict, list, tuple, Table)):
         value = _scalar(value)
         if isinstance(value, str):
             parts.append(encode_basestring_ascii(value))

@@ -123,10 +123,11 @@ def _check_bell_fields(p_ab, p_bc, p_ac, bell_gap, violated) -> None:
     block of sweep points'; a message gives the block's range.
     """
     for name, p in zip(("p_q_AB", "p_q_BC", "p_q_AC"), (p_ab, p_bc, p_ac)):
-        if not np.all((0.0 <= p) & (p <= 0.5 + ATOL)):
+        if not np.logical_and.reduce((0.0 <= p) & (p <= 0.5 + ATOL), axis=None):
             raise ValueError(f"{name} out of [0, 1/2]: {np.min(p)} to {np.max(p)}")
     gap, flag = _gap_and_flag(p_ab, p_bc, p_ac)
-    if np.any(bell_gap != gap) or np.any(violated != flag):
+    if (np.logical_or.reduce(bell_gap != gap, axis=None)
+            or np.logical_or.reduce(violated != flag, axis=None)):
         raise ValueError("bell_gap or violated inconsistent with the probabilities")
 
 

@@ -96,7 +96,7 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.shape[0] not in (2, 4, 8):
             raise ValueError("amplitude vector must have length 2, 4 or 8")
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.logical_and.reduce(np.isfinite(amps.view(float)), axis=None):
             raise ValueError("amplitudes must be finite")
         if abs(np.linalg.norm(amps) - 1.0) > ATOL:
             raise ValueError("state is not normalized")
@@ -121,13 +121,14 @@ class DensityMatrix:
         mat = np.array(self.entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] not in (2, 4, 8):
             raise ValueError("density matrix must be square with dimension 2, 4 or 8")
-        if not np.all(np.isfinite(mat.view(float))):
+        if not np.logical_and.reduce(np.isfinite(mat.view(float)), axis=None):
             raise ValueError("entries must be finite")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        if np.maximum.reduce(np.abs(mat - mat.conj().T), axis=None) > ATOL:
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(mat).real - 1.0) > ATOL or abs(np.trace(mat).imag) > ATOL:
+        trace = mat.trace()
+        if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
             raise ValueError("density matrix must have unit trace")
-        if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
+        if np.minimum.reduce(np.linalg.eigvalsh(mat), axis=None) < -1e-10:
             raise ValueError("density matrix must be positive semidefinite")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
@@ -175,6 +176,7 @@ def axis_eigenstates(axis: MeasurementAxis) -> tuple[PureState, PureState]:
 
 _SINGLET = PureState(np.array([0.0, 1.0, -1.0, 0.0]) / _SQRT2)
 _GHZ = PureState(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]) / _SQRT2)
+_SUPERPOSITION = PureState(np.array([1.0, 1.0]) / _SQRT2)
 _MAXIMALLY_MIXED = DensityMatrix(0.5 * np.eye(2))
 
 
@@ -201,7 +203,7 @@ def partial_trace(state: PureState, keep_site: int) -> DensityMatrix:
         raise ValueError("partial trace needs a state with at least 2 sites")
     if not 1 <= keep_site <= n:
         raise ValueError(f"keep_site must be in 1..{n}, got {keep_site}")
-    kept_first = np.moveaxis(state.as_tensor(), keep_site - 1, 0).reshape(2, -1)
+    kept_first = _site_first(state.as_tensor(), keep_site - 1)
     return DensityMatrix(kept_first @ kept_first.conj().T)
 
 
@@ -219,11 +221,16 @@ def _check_measurement_args(
             raise ValueError("outcome signs must be +1 or -1")
 
 
+def _site_first(tensor: np.ndarray, k: int) -> np.ndarray:
+    """tensor as a 2 x rest matrix: site k first, the other sites flattened
+    in order (the transpose np.moveaxis builds)."""
+    return tensor.transpose([k, *range(k), *range(k + 1, tensor.ndim)]).reshape(2, -1)
+
+
 def _contract(matrix: np.ndarray, tensor: np.ndarray, k: int) -> np.ndarray:
     """matrix (rows x 2) times site k of tensor, in np.tensordot's steps and so with its
-    bits: site k first, the other sites flattened in order, one np.dot."""
-    order = [k, *range(k), *range(k + 1, tensor.ndim)]
-    return np.dot(matrix, tensor.transpose(order).reshape(2, -1))
+    bits: _site_first, then one np.dot."""
+    return np.dot(matrix, _site_first(tensor, k))
 
 
 def joint_outcome_prob(
@@ -257,7 +264,7 @@ def joint_outcome_probs(state: PureState, axes: Sequence[MeasurementAxis | None]
                 eigvec = axes[k].basis[:, 0 if outcomes[k] == 1 else 1].conj().reshape(1, 2)
                 tensor = _contract(eigvec, tensor, k).reshape(tensor.shape[1:])  # one site fewer
             tensor = tensors.setdefault(suffix, tensor)
-        probs.append(float(np.sum(np.abs(tensor) ** 2)))
+        probs.append(float(np.add.reduce(np.abs(tensor) ** 2, axis=None)))  # np.sum's call
     return probs
 
 
@@ -297,11 +304,11 @@ def sequential_measure_prob(
         if sign not in (1, -1):
             raise ValueError("outcome signs must be +1 or -1")
         eigvec = axis.basis[:, 0 if sign == 1 else 1]
-        prob = float(np.real(np.vdot(eigvec, rho @ eigvec)))
+        prob = float(np.vdot(eigvec, rho @ eigvec).real)
         if prob <= 0.0:
             return 0.0
         # rank-1 projector: the collapsed state is the eigenstate itself
-        rho = np.outer(eigvec, eigvec.conj())
+        rho = np.multiply.outer(eigvec, eigvec.conj())
         total *= prob
     return total
 
@@ -313,7 +320,9 @@ def singlet_invariance_residual(axis: MeasurementAxis) -> float:
     Zero for every axis under the half-angle phase convention used here.
     """
     plus, minus = axis.basis.T
-    rewritten = (np.kron(plus, minus) - np.kron(minus, plus)) / _SQRT2
+    # np.kron of two vectors: their outer product, flattened
+    pairs = np.multiply.outer(plus, minus) - np.multiply.outer(minus, plus)
+    rewritten = pairs.reshape(-1) / _SQRT2
     return float(np.linalg.norm(_SINGLET.amplitudes - rewritten))
 
 
@@ -329,9 +338,7 @@ def mixed_vs_superposition_report(axis: MeasurementAxis) -> AxisDistributions:
     The two agree along z and differ along most other axes, which is what
     makes them physically distinct preparations.
     """
-    rho = maximally_mixed()
-    phi_state = PureState(np.array([1.0, 1.0]) / _SQRT2)
     return AxisDistributions(
-        mixed=tuple(sequential_measure_prob(rho, [(axis, s)]) for s in (1, -1)),
-        superposition=tuple(joint_outcome_probs(phi_state, [axis], [[1], [-1]])),
+        mixed=tuple(sequential_measure_prob(maximally_mixed(), [(axis, s)]) for s in (1, -1)),
+        superposition=tuple(joint_outcome_probs(_SUPERPOSITION, [axis], [[1], [-1]])),
     )

@@ -28,7 +28,18 @@ are bellbox's earlier samplers, which kept the outcome index of every draw
 and drew each axis pair from its four-outcome Born distribution; the
 per-outcome tallies lhv.sample_indices and mc_bell_estimate read must come
 from the same draws.  ensemble_from_counts builds the mixtures the tests
-draw at random: integer counts over boxes, normalised to exact weights."""
+draw at random: integer counts over boxes, normalised to exact weights.
+pure_state_error, density_matrix_error, partial_trace,
+sequential_measure_prob, singlet_invariance_residual,
+mixed_vs_superposition_report and check_bell_fields are the earlier bodies
+of the sites that called numpy's Python-level wrappers (np.all, np.max,
+np.min, np.trace, np.moveaxis, np.real, np.outer, np.kron, np.any), which
+now make the ufunc or ndarray call those wrappers make: each must give the
+same bits, or the same verdict and message.  scalar, cell and json_scalar
+are the earlier isinstance chain that gave every report scalar its text,
+which cli's exact-type table now gives the types it holds; flatten_leaves
+is the earlier generator walk of the text head's and state-report's
+leaves."""
 
 import csv
 import io
@@ -36,6 +47,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -310,3 +322,130 @@ def render_text(env: cli.ReportEnvelope) -> str:
 
 
 RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
+
+
+def pure_state_error(amplitudes) -> str | None:
+    """The message of the ValueError PureState's earlier checks raised for
+    amplitudes, or None for a state they admitted."""
+    amps = np.array(amplitudes, dtype=complex)
+    if amps.ndim != 1 or amps.shape[0] not in (2, 4, 8):
+        return "amplitude vector must have length 2, 4 or 8"
+    if not np.all(np.isfinite(amps.view(float))):
+        return "amplitudes must be finite"
+    if abs(np.linalg.norm(amps) - 1.0) > quantum.ATOL:
+        return "state is not normalized"
+    return None
+
+
+def density_matrix_error(entries) -> str | None:
+    """The message of the ValueError DensityMatrix's earlier checks raised
+    for entries, or None for a matrix they admitted."""
+    mat = np.array(entries, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] not in (2, 4, 8):
+        return "density matrix must be square with dimension 2, 4 or 8"
+    if not np.all(np.isfinite(mat.view(float))):
+        return "entries must be finite"
+    if np.max(np.abs(mat - mat.conj().T)) > quantum.ATOL:
+        return "density matrix must be Hermitian"
+    if abs(np.trace(mat).real - 1.0) > quantum.ATOL or abs(np.trace(mat).imag) > quantum.ATOL:
+        return "density matrix must have unit trace"
+    if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
+        return "density matrix must be positive semidefinite"
+    return None
+
+
+def partial_trace(state: quantum.PureState, keep_site: int) -> np.ndarray:
+    """The entries of quantum.partial_trace(state, keep_site), kept site
+    moved first with np.moveaxis."""
+    kept_first = np.moveaxis(state.as_tensor(), keep_site - 1, 0).reshape(2, -1)
+    return kept_first @ kept_first.conj().T
+
+
+def sequential_measure_prob(initial: quantum.DensityMatrix, steps) -> float:
+    """quantum.sequential_measure_prob with np.real and np.outer."""
+    rho = initial.entries
+    total = 1.0
+    for axis, sign in steps:
+        eigvec = axis.basis[:, 0 if sign == 1 else 1]
+        prob = float(np.real(np.vdot(eigvec, rho @ eigvec)))
+        if prob <= 0.0:
+            return 0.0
+        rho = np.outer(eigvec, eigvec.conj())
+        total *= prob
+    return total
+
+
+def singlet_invariance_residual(axis: MeasurementAxis) -> float:
+    """quantum.singlet_invariance_residual with np.kron."""
+    plus, minus = axis.basis.T
+    rewritten = (np.kron(plus, minus) - np.kron(minus, plus)) / math.sqrt(2.0)
+    return float(np.linalg.norm(quantum.singlet_state().amplitudes - rewritten))
+
+
+def mixed_vs_superposition_report(axis: MeasurementAxis) -> tuple:
+    """(mixed, superposition) of quantum.mixed_vs_superposition_report, the
+    superposition built and validated on each call."""
+    rho = quantum.maximally_mixed()
+    phi_state = quantum.PureState(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    return (tuple(sequential_measure_prob(rho, [(axis, s)]) for s in (1, -1)),
+            tuple(born_prob(phi_state, [axis], [s]) for s in (1, -1)))
+
+
+def check_bell_fields(p_ab, p_bc, p_ac, bell_gap, violated) -> None:
+    """experiments._check_bell_fields with np.all and np.any."""
+    for name, p in zip(("p_q_AB", "p_q_BC", "p_q_AC"), (p_ab, p_bc, p_ac)):
+        if not np.all((0.0 <= p) & (p <= 0.5 + quantum.ATOL)):
+            raise ValueError(f"{name} out of [0, 1/2]: {np.min(p)} to {np.max(p)}")
+    gap, flag = experiments._gap_and_flag(p_ab, p_bc, p_ac)
+    if np.any(bell_gap != gap) or np.any(violated != flag):
+        raise ValueError("bell_gap or violated inconsistent with the probabilities")
+
+
+def scalar(value):
+    """A report scalar's JSON value by the isinstance chain: a bool, int,
+    None, str (a Fraction's "n/d") or a float to 12 digits."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(cli._number_text(float(value)))
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def cell(value) -> str:
+    """A scalar's cell text: a float's 12-digit text, else its JSON value as
+    text."""
+    if isinstance(value, (float, np.floating)):
+        return cli._number_text(float(value))
+    value = scalar(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def json_scalar(value) -> str:
+    """A scalar's text in a JSON report, as json.dumps writes its JSON value."""
+    value = scalar(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    text = repr(value)
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+            "True": "true", "False": "false", "None": "null"}.get(text, text)
+
+
+def flatten_leaves(value, prefix: str = ""):
+    """Depth-first (path, leaf) pairs: a dict adds ".key" to the path, a list
+    or tuple "[i]"."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from flatten_leaves(v, f"{prefix}.{k}" if prefix else str(k))
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            yield from flatten_leaves(v, f"{prefix}[{i}]")
+    else:
+        yield prefix, value

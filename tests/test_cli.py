@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import types
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -28,8 +30,9 @@ from hypothesis import example, given, settings, strategies as st
 import bellbox
 from bellbox import cli
 from bellbox.cli import SCHEMA_PATH, main, parse_args, render, run
-from bellbox import experiments, lhv
+from bellbox import experiments, lhv, quantum
 from bellbox.experiments import PhysicsAssertionError
+import oracles
 from oracles import RENDERERS, json_text, sweep_records
 
 # one argv per distinct report shape the schema must cover
@@ -917,6 +920,129 @@ def test_json_writer_is_json_dumps_of_the_jsonified_copy(value):
     parts, tables = [], []
     cli._json_parts(value, "", parts, tables)
     assert "".join(parts) == json_text(value) and tables == []
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# each type the exact-type text table holds, and types outside it that a
+# report could hold: numpy ints and other floats, and subclasses
+TABLE_FLOATS = (
+    st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308])
+    | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)  # subnormals
+    | st.floats(1e12, 1e16) | st.floats(-1e16, -1e12)
+)
+TABLE_SCALARS = (
+    st.booleans() | st.booleans().map(np.bool_) | st.integers() | TABLE_FLOATS
+    | TABLE_FLOATS.map(np.float64) | st.none() | st.fractions()
+    | st.text() | st.text(alphabet=['"', "\\", "\x00", "\x1f", "\n", "\x7f", "\u00e9", "\u2028",
+                                    "\U0001f600"])
+)
+OTHER_SCALARS = (
+    st.integers(-2**63, 2**63 - 1).map(np.int64) | st.integers(0, 255).map(np.uint8)
+    | st.integers(-2**31, 2**31 - 1).map(np.int32) | st.floats(width=32).map(np.float32)
+    | st.floats(width=16).map(np.float16) | st.integers().map(_Int) | st.text().map(_Str)
+)
+
+
+def _json_scalar_text(value) -> str:
+    parts = []
+    cli._json_parts(value, "", parts, [])
+    return "".join(parts)
+
+
+def test_text_table_holds_the_report_scalar_types():
+    assert set(cli._TEXT_RULES) == {bool, np.bool_, int, float, np.float64, str, type(None), Fraction}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(TABLE_SCALARS | OTHER_SCALARS)
+@example(np.float64(1e16))
+@example(np.float64(-0.0))
+@example(True)
+@example(np.int64(-7))
+def test_scalar_texts_match_the_isinstance_chain(value):
+    with mock.patch.object(cli, "_scalar", wraps=cli._scalar) as fallback:
+        assert cli._cell(value) == oracles.cell(value)
+        cell_fell_back = fallback.called
+        fallback.reset_mock()
+        assert _json_scalar_text(value) == oracles.json_scalar(value)
+    in_table = type(value) in cli._TEXT_RULES
+    # a type outside the table takes the chain: for a cell, floats apart
+    assert fallback.called is not in_table
+    assert cell_fell_back is not (in_table or isinstance(value, np.floating))
+
+
+LEAF_TREES = st.recursive(
+    st.none() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=3) | st.integers(0, 9), children, max_size=3),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LEAF_TREES)
+@example({"a": {}, "b": [], "c": (), "d": [[], {}, ()], "e": {"f": [1, (2, {"g": None})]}})
+@example({})
+@example(3.5)
+def test_flatten_leaves_gives_the_generator_walk_pairs(value):
+    assert cli._flatten_leaves(value) == list(oracles.flatten_leaves(value))
+
+
+# numpy's Python-level wrappers whose reductions, methods or transposes
+# bellbox calls directly (tests/oracles.py holds the bodies that called them)
+NUMPY_WRAPPERS = ("sum", "all", "any", "max", "min", "trace", "real", "outer", "kron", "moveaxis")
+
+
+def _wrapper_calls(argv: list[str]) -> list[str]:
+    """The NUMPY_WRAPPERS that a bellbox frame calls while main(argv) runs,
+    once per call: the Python function behind each numpy dispatcher, seen
+    from its caller's frame past numpy's dispatch module."""
+    codes = {inspect.unwrap(getattr(np, name)).__code__: name for name in NUMPY_WRAPPERS}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            caller = frame.f_back
+            while caller is not None and caller.f_globals.get("__name__", "").endswith(".overrides"):
+                caller = caller.f_back
+            if caller is not None and caller.f_globals.get("__name__", "").startswith("bellbox"):
+                calls.append(codes[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    return calls
+
+
+def test_wrapper_calls_are_counted(monkeypatch):
+    # the earlier sequential_measure_prob, run as quantum's, calls np.real
+    # and np.outer once a step: state-report measures one step for each sign
+    earlier = types.FunctionType(oracles.sequential_measure_prob.__code__, vars(quantum))
+    monkeypatch.setattr(quantum, "sequential_measure_prob", earlier)
+    assert _wrapper_calls(["state-report", "--format", "csv"]) == ["real", "outer"] * 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv", [
+    ["singlet-bell", "--theta1", "20", "--theta2", "-250"],
+    ["order-demo", "--theta1", "33", "--theta2", "301"],
+    ["ghz-parity"],
+    ["lhv-enumerate", "singlet"],
+    ["lhv-enumerate", "ghz"],
+    ["state-report", "--theta1", "37.5"],
+], ids=" ".join)
+def test_exact_reports_call_no_numpy_wrapper(argv, fmt, tmp_path):
+    assert _wrapper_calls(argv + ["--format", fmt, "--output", str(tmp_path / "out")]) == []
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{(1, 2): 3}], {Fraction(1, 2): 0}])

@@ -45,6 +45,7 @@ from fractions import Fraction
 
 from oracles import (
     bell_sweep_records,
+    check_bell_fields,
     closed_form_sequential,
     ensemble_from_counts,
     mc_bell_tallies,
@@ -156,6 +157,62 @@ class TestVerdicts:
             indicators = (v.i_AB, v.i_BC, v.i_AC)
             assert CorrelationReport.from_probs(*map(Fraction, indicators)).satisfied
             assert not BellPoint.from_probs(0.0, 0.0, *(i / 2 for i in indicators)).violated
+
+
+# a value of a probability field out of [0, 1/2], injected into a drawn block
+OUT_OF_RANGE = st.sampled_from([math.nan, -1e-300, -0.1, 0.5 + 2 * ATOL, 0.6, math.inf, -math.inf])
+
+
+@st.composite
+def bell_fields(draw):
+    """_check_bell_fields' arguments for one point (floats) or a block of
+    sweep points (a column of p_ab, a grid of p_bc, a row of p_ac), valid or
+    with one fault injected: a probability out of range or NaN, a gap off
+    by an ulp or more, or a flipped flag."""
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        probs = [np.array(draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n))).reshape(s)
+                 for n, s in ((shape[0], (shape[0], 1)), (shape[0] * shape[1], shape),
+                              (shape[1], shape[1:]))]
+    else:
+        probs = [draw(st.floats(0.0, 0.5)) for _ in range(3)]
+    fault = draw(st.sampled_from(["none", "range", "gap", "flag"]))
+    at = draw(st.integers(0, 2))
+    if fault == "range":
+        probs[at] = np.array(probs[at]) if np.ndim(probs[at]) else probs[at]
+        value = draw(OUT_OF_RANGE)
+        if np.ndim(probs[at]):
+            probs[at].flat[draw(st.integers(0, probs[at].size - 1))] = value
+        else:
+            probs[at] = value
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gap, flag = experiments._gap_and_flag(*probs)
+    if fault in ("gap", "flag"):
+        gap, flag = np.array(gap), np.array(flag)
+        i = draw(st.integers(0, gap.size - 1))
+        if fault == "gap":
+            gap.flat[i] = np.nextafter(gap.flat[i], draw(st.sampled_from([-1.0, 1.0])))
+        else:
+            flag.flat[i] = not flag.flat[i]
+    return (*probs, gap, flag)
+
+
+def _bell_fields_error(check, fields) -> str | None:
+    try:
+        check(*fields)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(bell_fields())
+@example((0.7, 0.0, 0.0, 0.7, False))
+@example((0.1, 0.1, 0.1, 0.1, True))
+@example((math.nan, 0.1, 0.1, math.nan, False))
+def test_bell_field_checks_match_the_oracle(fields):
+    assert (_bell_fields_error(experiments._check_bell_fields, fields)
+            == _bell_fields_error(check_bell_fields, fields))
 
 
 class TestBellSweep:

@@ -534,3 +534,111 @@ class TestMixedVsSuperposition:
         p_plus = 0.5 * (1.0 + math.sin(axis.theta) * math.cos(axis.phi))
         assert report.superposition[0] == pytest.approx(p_plus, abs=ATOL)
         assert sum(report.superposition) == pytest.approx(1.0, abs=ATOL)
+
+
+def _hexes(values) -> list[str]:
+    """float.hex of each float, a complex array's real and imaginary parts
+    included."""
+    return [x.hex() for x in np.asarray(values, dtype=complex).view(float).ravel().tolist()]
+
+
+def _error(make, value) -> str | None:
+    try:
+        make(value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+AXES = st.tuples(FINITE, FINITE).map(lambda angles: MeasurementAxis(*angles))
+# a break of one check, applied to a valid density matrix
+BREAKS = st.sampled_from(["none", "nan", "inf", "hermitian", "trace", "negative", "shape"])
+
+
+@st.composite
+def density_entries(draw):
+    """Entries of a density matrix of dimension 2, 4 or 8, valid or with one
+    check broken: a non-finite entry, an off-diagonal or trace offset near
+    or past ATOL, a negative eigenvalue, or a bad shape."""
+    dim = draw(st.sampled_from([2, 4, 8]))
+    parts = draw(st.lists(st.floats(-1, 1), min_size=2 * dim * dim, max_size=2 * dim * dim))
+    a = (np.array(parts[: dim * dim]) + 1j * np.array(parts[dim * dim:])).reshape(dim, dim)
+    rho = a @ a.conj().T
+    assume(rho.trace().real > 1e-3)
+    rho /= rho.trace().real
+    kind = draw(BREAKS)
+    offset = draw(st.sampled_from([1e-13, 1e-12, 2e-12, 1e-9, 1.0]))
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    if kind in ("nan", "inf"):
+        rho[i, j] = draw(st.sampled_from([complex(math.nan, 0), complex(0, -math.inf)]
+                                         if kind == "nan" else [math.inf, -math.inf]))
+    elif kind == "hermitian":
+        rho[i, j] += offset * draw(st.sampled_from([1, -1, 1j]))
+    elif kind == "trace":
+        rho[i, i] += offset * draw(st.sampled_from([1, -1, 1j]))
+    elif kind == "negative":
+        rho = np.diag([1.0 + offset] + [0.0] * (dim - 2) + [-offset])
+    elif kind == "shape":
+        rho = rho.reshape(-1)[: draw(st.sampled_from([2, 3, 4, 6]))]
+    return rho
+
+
+class TestUfuncCallsOracle:
+    """The sites that call the ufunc reductions, ndarray methods and
+    transposes numpy's Python-level wrappers make give the earlier bodies'
+    bits, verdicts and messages (tests/oracles.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(states(), st.integers(1, 3))
+    @example(singlet_state(), 1)
+    @example(ghz_state(), 2)
+    def test_partial_trace_bits(self, state, site):
+        assume(state.num_sites >= 2 and site <= state.num_sites)
+        assert _hexes(partial_trace(state, site).entries) == _hexes(oracles.partial_trace(state, site))
+
+    @settings(max_examples=300, deadline=None)
+    @given(states(), st.integers(1, 3),
+           st.lists(st.tuples(AXES, st.sampled_from([1, -1])), max_size=4))
+    @example(ghz_state(), 1, [(X_AXIS, 1), (Z_AXIS, -1)])
+    def test_sequential_measure_prob_bits(self, state, site, steps):
+        # single-site states: the maximally mixed one, or one site of a drawn state
+        rho = maximally_mixed() if state.num_sites == 1 else partial_trace(
+            state, min(site, state.num_sites))
+        assert (sequential_measure_prob(rho, steps).hex()
+                == oracles.sequential_measure_prob(rho, steps).hex())
+
+    @settings(max_examples=300, deadline=None)
+    @given(AXES)
+    @example(Z_AXIS)
+    @example(MeasurementAxis(1e300, -1e300))
+    def test_singlet_invariance_residual_bits(self, axis):
+        assert singlet_invariance_residual(axis).hex() == oracles.singlet_invariance_residual(axis).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(AXES)
+    @example(X_AXIS)
+    @example(MeasurementAxis(math.pi / 2.0))
+    def test_mixed_vs_superposition_report_bits(self, axis):
+        report = mixed_vs_superposition_report(axis)
+        assert _hexes([*report.mixed, *report.superposition]) == _hexes(
+            [*sum(oracles.mixed_vs_superposition_report(axis), ())])
+
+    @settings(max_examples=500, deadline=None)
+    @given(density_entries())
+    @example(np.eye(2) / 2)
+    @example(np.eye(3) / 3)
+    def test_density_matrix_verdicts(self, entries):
+        assert _error(DensityMatrix, entries) == oracles.density_matrix_error(entries)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 4, 8, 16]).flatmap(lambda size: st.lists(
+        st.complex_numbers(max_magnitude=2) | st.sampled_from([math.nan, math.inf, -1j * math.inf]),
+        min_size=size, max_size=size)), st.booleans())
+    @example([0.6, 0.8j], False)
+    @example([1.0, 1e-7], False)
+    def test_pure_state_verdicts(self, amplitudes, normalize):
+        amps = np.array(amplitudes, dtype=complex)
+        norm = np.linalg.norm(amps)
+        if normalize and np.isfinite(norm) and norm > 1e-3:
+            amps = amps / norm
+        assert _error(PureState, amps) == oracles.pure_state_error(amps)
