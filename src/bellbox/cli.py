@@ -351,7 +351,7 @@ def _cmd_ghz_parity(config: RunConfig):
         "contradiction": report.contradiction,
         "impossible_outcomes": {
             "all_ok": impossible.all_ok,
-            "rows": [dict(vars(row)) for row in impossible.rows],
+            "rows": [row._asdict() for row in impossible.rows],
         },
     }
     table = Table.from_rows(
@@ -532,34 +532,12 @@ def run(config: RunConfig) -> ReportEnvelope:
 _number_text = "{:.12g}".format
 
 
-def _scalar(value):
-    """A report scalar's JSON value, the rule the JSON writer and _cell read
-    for a type _TEXT_RULES does not hold: a bool, int, None, str (a
-    Fraction's "n/d") or a float to 12 digits."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(_number_text(float(value)))
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, Fraction):  # last: an isinstance check on an ABC is slow
-        return _fraction_text(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _cell(value) -> str:
-    """A scalar's text: a float's _number_text, else its JSON value as text."""
+    """A scalar's text, by _TEXT_RULES."""
     rules = _TEXT_RULES.get(type(value))
-    if rules is not None:
-        return rules[0](value)
-    if isinstance(value, (float, np.floating)):
-        return _number_text(float(value))
-    value = _scalar(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+    if rules is None:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    return rules[0](value)
 
 
 def _bool_text(value) -> str:
@@ -571,17 +549,18 @@ def _fraction_text(value: Fraction) -> str:
 
 
 def _json_float(value: float) -> str:
-    """json.dumps of a float's _scalar value."""
-    text = repr(float(_number_text(value)))
-    return _JSON_WORDS.get(text, text)
+    """json.dumps of the float its _number_text reads as."""
+    text = _number_text(value)
+    return _JSON_WORDS.get(text) or _json_number(text)
 
 
-_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
-               "True": "true", "False": "false", "None": "null"}
+# json's spellings of the non-finite floats' _number_text texts
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 
 # The (_cell text, JSON text) rules of each scalar type reports hold, looked
-# up by exact type: the texts _scalar's isinstance chain gives these types,
-# without the chain.  _cell and _json_parts take _scalar for any other type.
+# up by exact type: the one scalar rule _cell and _json_parts read, which
+# refuse any other type.
 _TEXT_RULES = {
     bool: (_bool_text, _bool_text),
     np.bool_: (_bool_text, _bool_text),
@@ -796,19 +775,14 @@ def _flatten_leaves(value, prefix: str = "", leaves: list | None = None) -> list
 
 def _json_parts(value, indent: str, parts: list, tables: list) -> None:
     """Appends to parts json.dumps(indent=2)'s text of value's JSON value
-    (scalars by _TEXT_RULES, else _scalar) opening at indent: strings, and
-    for each Table its row generator (_json_rows), whose index goes to
-    tables.  Keys must be str."""
+    (scalars by _TEXT_RULES) opening at indent: strings, and for each Table
+    its row generator (_json_rows), whose index goes to tables.  Keys must
+    be str."""
     rules = _TEXT_RULES.get(type(value))
     if rules is not None:
         parts.append(rules[1](value))
     elif not isinstance(value, (dict, list, tuple, Table)):
-        value = _scalar(value)
-        if isinstance(value, str):
-            parts.append(encode_basestring_ascii(value))
-        else:  # a bool, None, or an int's or float's repr, as json writes them
-            text = repr(value)
-            parts.append(_JSON_WORDS.get(text, text))
+        raise TypeError(f"cannot serialize {type(value).__name__}")
     elif isinstance(value, Table):
         tables.append(len(parts))
         parts.append(_json_rows(value, indent))
@@ -940,18 +914,6 @@ def render(env: ReportEnvelope, fmt: str) -> str:
     return "".join(_chunks(env, fmt))
 
 
-def resolve_output_path(destination: str) -> str:
-    """destination, under the output directory if relative, in pathlib's form."""
-    path = destination
-    if not os.path.isabs(path):
-        base = os.environ.get(OUTPUT_DIR_ENV)
-        if base:
-            path = os.path.join(base, path)
-    # pathlib drops "." parts and extra slashes; normpath also folds "..",
-    # which pathlib, like the file system, keeps
-    return path if os.path.normpath(path) == path else str(PurePath(path))
-
-
 @contextlib.contextmanager
 def _output(destination: str | None):
     """The stream a report is written to; destination None means stdout.
@@ -966,7 +928,12 @@ def _output(destination: str | None):
             raise OSError("standard output is closed")
         yield sys.stdout
         return
-    path = resolve_output_path(destination)
+    # a relative destination resolves under the output directory, when set
+    base = os.environ.get(OUTPUT_DIR_ENV)
+    path = destination if os.path.isabs(destination) or not base else os.path.join(base, destination)
+    # pathlib drops "." parts and extra slashes; normpath also folds "..",
+    # which pathlib, like the file system, keeps
+    path = path if os.path.normpath(path) == path else str(PurePath(path))
     # os.stat follows /dev/stdout to the pipe or terminal it stands for,
     # where the path realpath gives for it may not exist
     try:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -309,8 +310,7 @@ def mc_bell_estimate(
     return {label: McEstimate.from_hits(h, samples, seed) for label, h in hits.items()}
 
 
-@dataclass(frozen=True)
-class GhzSampleReport:
+class GhzSampleReport(NamedTuple):
     """Per-pattern sampled parity products over a three-compartment ensemble.
 
     means follows PARITY_PATTERNS order; constant_on_draws records whether
@@ -355,8 +355,7 @@ def mc_classical_estimate(
     return CorrelationReport.from_probs(*(h / samples for h in hits))
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     """Probabilities of the same three-outcome sequence measured in two orders."""
 
     prob_order_123: float
@@ -378,8 +377,7 @@ def order_dependence_report(theta1: float, theta2: float) -> OrderReport:
     return OrderReport(p123, p132, abs(p123 - p132) <= ATOL)
 
 
-@dataclass(frozen=True)
-class GhzParityReport:
+class GhzParityReport(NamedTuple):
     """Quantum parity expectations against the classical ensemble constants.
 
     contradiction is true when the all-dark-direction pattern has quantum
@@ -410,8 +408,7 @@ def ghz_contradiction_report() -> GhzParityReport:
     return GhzParityReport(quantum, classical, contradiction)
 
 
-@dataclass(frozen=True)
-class OutcomeRow:
+class OutcomeRow(NamedTuple):
     setting: str
     outcomes: tuple[int, int, int]
     prob: float
@@ -419,8 +416,7 @@ class OutcomeRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class ImpossibleOutcomesReport:
+class ImpossibleOutcomesReport(NamedTuple):
     """Every outcome pattern for the three mixed-parity settings, with its
     probability against the 0-or-1/4 target."""
 

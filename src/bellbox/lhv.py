@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,8 +243,7 @@ def bell_check(ens: Ensemble) -> CorrelationReport:
     )
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     """Weighted distribution of one parity product over an ensemble; constant
     holds the common value when the product is the same for every boxing."""
 
@@ -261,8 +261,7 @@ def parity_product(ens: Ensemble, pattern: str) -> ParityReport:
     return ParityReport(constant, distribution)
 
 
-@dataclass(frozen=True)
-class SingletVertex:
+class SingletVertex(NamedTuple):
     """One deterministic boxing with its 0/1 coincidence indicators."""
 
     triple: AttributeTriple
@@ -275,8 +274,7 @@ class SingletVertex:
         return _gap_and_flag(self.i_AB, self.i_BC, self.i_AC)[0]
 
 
-@dataclass(frozen=True)
-class SingletEnumeration:
+class SingletEnumeration(NamedTuple):
     """Exhaustive inequality certificate over the eight deterministic boxings."""
 
     vertices: tuple[SingletVertex, ...]
@@ -310,8 +308,7 @@ def enumerate_singlet_lhv() -> SingletEnumeration:
     )
 
 
-@dataclass(frozen=True)
-class GhzAssignment:
+class GhzAssignment(NamedTuple):
     """One of the 64 candidate sign assignments, kept if it passes the rule."""
 
     dark: tuple[int, int, int]
@@ -322,8 +319,7 @@ class GhzAssignment:
         return _pattern_product(self.dark, self.round, "xxx")
 
 
-@dataclass(frozen=True)
-class GhzEnumeration:
+class GhzEnumeration(NamedTuple):
     """Brute-force certificate for the three-compartment parity rule."""
 
     total_assignments: int

@@ -882,9 +882,15 @@ JSON_EDGES = [1e-4, 1e-5, 9.99999999999e-5, 0.00012345678901234, 1e11 + 0.5, 1e1
 @example(123456789012345.0)
 @example(9.99999999999e15)
 @example(1e16)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(1.7976931348623157e308)
 def test_json_number_is_json_dumps_of_the_text(x):
     text = cli._number_text(x)
-    assert cli._json_number(text) == json.dumps(float(text))
+    if math.isfinite(x):
+        assert cli._json_number(text) == json.dumps(float(text))
+    assert cli._json_float(x) == oracles.json_scalar(x)
 
 
 def test_json_numbers_match_oracle_at_layout_edges():
@@ -892,34 +898,6 @@ def test_json_numbers_match_oracle_at_layout_edges():
     table = cli.Table(("x",), (np.resize(signed, 100),))
     env = _envelope({"points": table}, dataclasses.replace(table, covers=("points",)))
     assert render(env, "json") == RENDERERS["json"](env)
-
-
-# the scalars a report's JSON may hold: str with non-ASCII, quote and
-# control characters, Python and numpy numbers and bools, Fractions, signed
-# zeros and non-finite floats, and None
-JSON_SCALARS = (
-    st.text()
-    | st.text(alphabet=['"', "\\", "\x00", "\x1f", "\n", "\x7f", "\u00e9", "\u2028", "\U0001f600"])
-    | st.integers() | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.integers(0, 255).map(np.uint8)
-    | st.floats() | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
-    | st.booleans() | st.booleans().map(np.bool_) | st.fractions()
-    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, None])
-)
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda children: st.lists(children) | st.lists(children).map(tuple)
-    | st.dictionaries(st.text(), children),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
-@example({"empty": {}, "none": [], "nested": [[], {}, ()], "tuple": (1, "a")})
-def test_json_writer_is_json_dumps_of_the_jsonified_copy(value):
-    parts, tables = [], []
-    cli._json_parts(value, "", parts, tables)
-    assert "".join(parts) == json_text(value) and tables == []
 
 
 class _Int(int):
@@ -950,6 +928,36 @@ OTHER_SCALARS = (
 )
 
 
+# the scalars a report's JSON may hold: str with non-ASCII, quote and
+# control characters, Python ints, Python and numpy float64 floats and
+# bools, Fractions, signed zeros and non-finite floats, and None
+JSON_SCALARS = (
+    st.text()
+    | st.text(alphabet=['"', "\\", "\x00", "\x1f", "\n", "\x7f", "\u00e9", "\u2028", "\U0001f600"])
+    | st.integers() | st.floats() | st.floats().map(np.float64)
+    | st.booleans() | st.booleans().map(np.bool_) | st.fractions()
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, None])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES, OTHER_SCALARS)
+@example({"empty": {}, "none": [], "nested": [[], {}, ()], "tuple": (1, "a")}, np.int64(1))
+def test_json_writer_is_json_dumps_of_the_jsonified_copy(value, other):
+    parts, tables = [], []
+    cli._json_parts(value, "", parts, tables)
+    assert "".join(parts) == json_text(value) and tables == []
+    # a scalar of a type outside the text table is refused wherever it stands
+    with pytest.raises(TypeError, match=f"^cannot serialize {type(other).__name__}$"):
+        cli._json_parts({"value": value, "other": [other]}, "", [], [])
+
+
 def _json_scalar_text(value) -> str:
     parts = []
     cli._json_parts(value, "", parts, [])
@@ -960,6 +968,24 @@ def test_text_table_holds_the_report_scalar_types():
     assert set(cli._TEXT_RULES) == {bool, np.bool_, int, float, np.float64, str, type(None), Fraction}
 
 
+@pytest.mark.parametrize("argv", sorted(a for a in STDOUT_DIGESTS if not a.endswith("--help")))
+def test_every_report_scalar_has_a_text_rule(argv):
+    # a report scalar of any type outside the table would be a traceback
+    env = run(parse_args(argv.split()))
+    leaves = [leaf for head in (env.config, env.provenance, env.results)
+              for _, leaf in cli._flatten_leaves(head)]
+    tables = [env.table, *(leaf for leaf in leaves if isinstance(leaf, cli.Table))]
+    cells = [leaf for leaf in leaves if not isinstance(leaf, cli.Table)]
+    for table in tables:
+        for column in table.columns:
+            values = column.values if isinstance(column, cli._Coded) else column
+            if isinstance(values, np.ndarray):  # formatted by dtype, not a cell at a time
+                assert values.dtype in (np.float64, np.bool_), (argv, values.dtype)
+            else:
+                cells += values
+    assert cells and {type(cell) for cell in cells} <= set(cli._TEXT_RULES), argv
+
+
 @settings(max_examples=1000, deadline=None)
 @given(TABLE_SCALARS | OTHER_SCALARS)
 @example(np.float64(1e16))
@@ -967,15 +993,16 @@ def test_text_table_holds_the_report_scalar_types():
 @example(True)
 @example(np.int64(-7))
 def test_scalar_texts_match_the_isinstance_chain(value):
-    with mock.patch.object(cli, "_scalar", wraps=cli._scalar) as fallback:
+    if type(value) in cli._TEXT_RULES:
         assert cli._cell(value) == oracles.cell(value)
-        cell_fell_back = fallback.called
-        fallback.reset_mock()
         assert _json_scalar_text(value) == oracles.json_scalar(value)
-    in_table = type(value) in cli._TEXT_RULES
-    # a type outside the table takes the chain: for a cell, floats apart
-    assert fallback.called is not in_table
-    assert cell_fell_back is not (in_table or isinstance(value, np.floating))
+        return
+    # any other type, numpy ints and other floats and subclasses too, is refused
+    message = f"^cannot serialize {type(value).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        cli._cell(value)
+    with pytest.raises(TypeError, match=message):
+        _json_scalar_text(value)
 
 
 LEAF_TREES = st.recursive(
