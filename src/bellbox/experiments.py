@@ -389,11 +389,14 @@ class GhzParityReport(NamedTuple):
     contradiction: bool
 
 
+# each parity pattern's observable, one shared object each
+_PARITY_OBSERVABLES = {pattern: pauli_observable(pattern) for pattern in PARITY_PATTERNS}
+
+
 def ghz_contradiction_report() -> GhzParityReport:
     state = ghz_state()
     quantum = {
-        pattern: product_expectation(state, pauli_observable(pattern))
-        for pattern in PARITY_PATTERNS
+        pattern: product_expectation(state, obs) for pattern, obs in _PARITY_OBSERVABLES.items()
     }
     ens = build_ghz_ensemble()
     classical = {}
@@ -432,7 +435,7 @@ def impossible_outcomes_check() -> ImpossibleOutcomesReport:
     patterns = list(itertools.product((1, -1), repeat=3))
     rows = []
     for setting in MIXED_PATTERNS:
-        probs = joint_outcome_probs(state, pauli_observable(setting).factors, patterns)
+        probs = joint_outcome_probs(state, _PARITY_OBSERVABLES[setting].factors, patterns)
         for signs, prob in zip(patterns, probs):
             expected = 0.25 if signs[0] * signs[1] * signs[2] == 1 else 0.0
             rows.append(

@@ -14,6 +14,7 @@ attributes multiplies to +1 or -1 with no case analysis.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -27,6 +28,9 @@ PROPERTIES = ("dark", "round", "swiss")
 MIXED_PATTERNS = ("xyy", "yxy", "yyx")
 
 PARITY_PATTERNS = (*MIXED_PATTERNS, "xxx")
+
+# every three-letter pattern GhzBoxing.pattern_product takes
+_XY_PATTERNS = frozenset(map("".join, itertools.product("xy", repeat=3)))
 
 
 def _checked_sign(value: int, name: str) -> None:
@@ -112,7 +116,7 @@ class GhzBoxing:
     def pattern_product(self, pattern: str) -> int:
         """Product of one attribute sign per compartment, chosen by letter:
         x = dark, y = round.  E.g. "xyy" multiplies dark(1), round(2), round(3)."""
-        if len(pattern) != 3 or any(ch not in "xy" for ch in pattern):
+        if not (isinstance(pattern, str) and pattern in _XY_PATTERNS):
             raise ValueError(f"pattern must be 3 letters from x/y, got {pattern!r}")
         return _pattern_product(self.dark, self.round, pattern)
 
@@ -141,13 +145,26 @@ class Ensemble:
             if weight <= 0:
                 raise ValueError(f"weights must be positive, got {weight}")
             normalized.append((boxing, weight))
-        if sum(w for _, w in normalized) != 1:
+        if _exact_sum([w for _, w in normalized]) != 1:
             raise ValueError("weights must sum to exactly 1")
         object.__setattr__(self, "entries", tuple(normalized))
 
     @property
     def boxing_type(self) -> type:
         return type(self.entries[0][0])
+
+
+def _exact_sum(weights: list[Fraction]) -> Fraction:
+    """sum(weights, Fraction(0)) as integers: the numerators over the least
+    common denominator, normalised once rather than once a term."""
+    den = math.lcm(*[w.denominator for w in weights])
+    return Fraction(sum([w.numerator * (den // w.denominator) for w in weights]), den)
+
+
+def _checked_kind(ens: Ensemble, kind: type) -> None:
+    if not issubclass(ens.boxing_type, kind):
+        raise ValueError(f"needs an ensemble of {kind.__name__} boxes, "
+                         f"got one of {ens.boxing_type.__name__} boxes")
 
 
 _SINGLET_ENSEMBLE = Ensemble(tuple(
@@ -202,10 +219,12 @@ def coincides(boxing, prop1: str, prop2: str) -> bool:
 
 
 def correlation_prob(ens: Ensemble, prop1: str, prop2: str) -> Fraction:
-    """Probability that compartment 1 has prop1 and compartment 2 has prop2."""
+    """Probability that compartment 1 has prop1 and compartment 2 has prop2,
+    over a two-compartment ensemble."""
+    _checked_kind(ens, SingletBoxing)
     _checked_property(prop1)
     _checked_property(prop2)
-    return sum((w for b, w in ens.entries if coincides(b, prop1, prop2)), Fraction(0))
+    return _exact_sum([w for b, w in ens.entries if coincides(b, prop1, prop2)])
 
 
 @dataclass(frozen=True)
@@ -253,10 +272,11 @@ class ParityReport(NamedTuple):
 
 def parity_product(ens: Ensemble, pattern: str) -> ParityReport:
     """Distribution of a three-letter parity product over a GHZ-type ensemble."""
-    weights = {1: Fraction(0), -1: Fraction(0)}
+    _checked_kind(ens, GhzBoxing)
+    weights = {1: [], -1: []}
     for boxing, weight in ens.entries:
-        weights[boxing.pattern_product(pattern)] += weight
-    distribution = tuple((v, w) for v, w in weights.items() if w > 0)
+        weights[boxing.pattern_product(pattern)].append(weight)
+    distribution = tuple((v, _exact_sum(ws)) for v, ws in weights.items() if ws)
     constant = distribution[0][0] if len(distribution) == 1 else None
     return ParityReport(constant, distribution)
 

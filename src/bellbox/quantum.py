@@ -210,15 +210,23 @@ def partial_trace(state: PureState, keep_site: int) -> DensityMatrix:
 def _check_measurement_args(
     num_sites: int,
     axes: Sequence[MeasurementAxis | None],
-    outcomes: Sequence[int | None],
+    patterns: Sequence[Sequence[int | None]],
 ) -> None:
-    if len(axes) != num_sites or len(outcomes) != num_sites:
+    """One axis or None per site, checked once, then each pattern's outcomes:
+    a sign on each measured site and None on each unmeasured one."""
+    if len(axes) != num_sites:
         raise ValueError(f"need one axis and one outcome per site ({num_sites})")
-    for axis, outcome in zip(axes, outcomes):
-        if (axis is None) != (outcome is None):
-            raise ValueError("axis and outcome must both be given or both be None")
-        if outcome is not None and outcome not in (1, -1):
-            raise ValueError("outcome signs must be +1 or -1")
+    for axis in axes:
+        if axis is not None and not isinstance(axis, MeasurementAxis):
+            raise ValueError("each axis must be a MeasurementAxis or None")
+    for outcomes in patterns:
+        if len(outcomes) != num_sites:
+            raise ValueError(f"need one axis and one outcome per site ({num_sites})")
+        for axis, outcome in zip(axes, outcomes):
+            if (axis is None) != (outcome is None):
+                raise ValueError("axis and outcome must both be given or both be None")
+            if outcome is not None and outcome not in (1, -1):
+                raise ValueError("outcome signs must be +1 or -1")
 
 
 def _site_first(tensor: np.ndarray, k: int) -> np.ndarray:
@@ -252,19 +260,27 @@ def joint_outcome_probs(state: PureState, axes: Sequence[MeasurementAxis | None]
     """joint_outcome_prob of each outcome pattern on the same axes, each in its
     steps (reports print residues near 1e-32): one measured site at a time,
     the last first, then the sum of the squared moduli.  An outcome suffix
-    that patterns share is contracted once: 3 sites' 8 patterns take 14, not 24."""
+    that patterns share is contracted once: 3 sites' 8 patterns take 14, not 24.
+    A measured site's bra rows are its basis conjugated and transposed, built
+    once a call; a fully measured pattern leaves one amplitude, which needs
+    no sum."""
+    n = state.num_sites
+    _check_measurement_args(n, axes, patterns)
+    bras = [None if axis is None else np.ascontiguousarray(axis.basis.conj().T) for axis in axes]
     tensors = {(): state.as_tensor()}  # keyed by the suffix of outcomes contracted
     probs = []
     for outcomes in patterns:
-        _check_measurement_args(state.num_sites, axes, outcomes)
         tensor = tensors[()]
-        for k in range(state.num_sites - 1, -1, -1):
+        for k in range(n - 1, -1, -1):
             suffix = tuple(outcomes[k:])
-            if suffix not in tensors and axes[k] is not None:
-                eigvec = axes[k].basis[:, 0 if outcomes[k] == 1 else 1].conj().reshape(1, 2)
-                tensor = _contract(eigvec, tensor, k).reshape(tensor.shape[1:])  # one site fewer
+            if suffix not in tensors and bras[k] is not None:
+                row = 0 if outcomes[k] == 1 else 1
+                tensor = _contract(bras[k][row:row + 1], tensor, k).reshape(tensor.shape[1:])
             tensor = tensors.setdefault(suffix, tensor)
-        probs.append(float(np.add.reduce(np.abs(tensor) ** 2, axis=None)))  # np.sum's call
+        squared = np.abs(tensor) ** 2
+        if tensor.ndim:  # sites left unmeasured: np.sum's call
+            squared = np.add.reduce(squared, axis=None)
+        probs.append(float(squared))
     return probs
 
 

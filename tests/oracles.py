@@ -105,7 +105,7 @@ def joint_outcome_prob(amplitudes: np.ndarray, angles, outcomes) -> float:
 def born_prob(state: quantum.PureState, axes, outcomes) -> float:
     """quantum.joint_outcome_prob of one pattern as it was before the Born
     table: the same steps, each pattern contracted from the whole state."""
-    quantum._check_measurement_args(state.num_sites, axes, outcomes)
+    quantum._check_measurement_args(state.num_sites, axes, [outcomes])
     tensor = state.as_tensor()
     for k in range(state.num_sites - 1, -1, -1):
         axis, outcome = axes[k], outcomes[k]

@@ -1072,6 +1072,35 @@ def test_exact_reports_call_no_numpy_wrapper(argv, fmt, tmp_path):
     assert _wrapper_calls(argv + ["--format", fmt, "--output", str(tmp_path / "out")]) == []
 
 
+def _fraction_additions(monkeypatch, work) -> list[str]:
+    """The Fraction.__add__ and __radd__ calls made while work() runs, by name."""
+    added = []
+    for name in ("__add__", "__radd__"):
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda a, b, name=name, method=method: added.append(name) or method(a, b))
+    work()
+    monkeypatch.undo()
+    return added
+
+
+def test_fraction_additions_are_counted(monkeypatch):
+    # the earlier per-entry sum: one addition an entry, from the Fraction start
+    weights = [w for _, w in lhv.build_ghz_ensemble().entries]
+    assert _fraction_additions(monkeypatch, lambda: sum(weights, Fraction(0))) == ["__add__"] * 8
+
+
+def test_exact_weight_sums_make_no_fraction_addition(monkeypatch):
+    # lhv._exact_sum adds the weights as integers over one denominator
+    def work():
+        for pattern in (*lhv.PARITY_PATTERNS, "yyy"):
+            lhv.parity_product(lhv.build_ghz_ensemble(), pattern)
+        for p1, p2 in lhv.COINCIDENCE_PAIRS:
+            lhv.correlation_prob(lhv.build_singlet_ensemble(), p1, p2)
+
+    assert _fraction_additions(monkeypatch, work) == []
+
+
 @pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{(1, 2): 3}], {Fraction(1, 2): 0}])
 def test_json_writer_rejects_a_key_that_is_not_a_str(value):
     with pytest.raises(TypeError, match="key must be a str"):

@@ -520,6 +520,19 @@ class TestGhzContradiction:
             if parity == -1:
                 assert row.prob <= 1e-12
 
+    def test_bits_below_the_report_text(self):
+        # reports print these to 12 digits; the residues near 1e-32 keep
+        # more bits than that, and a change to any of them fails here
+        ev, hi, lo = "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-3", "0x1.0000000000000p-2"
+        a, b, c = "0x1.896097bb2bf6fp-107", "0x1.a000000000001p-107", "0x1.ba5cbaa89459ap-106"
+        assert [row.prob.hex() for row in impossible_outcomes_check().rows] == [
+            hi, a, a, hi, a, hi, hi, c,
+            lo, b, b, lo, "0x1.9000000000003p-108", hi, hi, "0x1.7200000000001p-105",
+            hi, b, b, hi, b, hi, hi, "0x1.e7fffffffffffp-105",
+        ]
+        assert {k: v.hex() for k, v in ghz_contradiction_report().quantum.items()} == {
+            "xyy": ev, "yxy": ev, "yyx": ev, "xxx": "-" + ev}
+
 
 class TestEstimateValidation:
     def test_mc_estimate(self):

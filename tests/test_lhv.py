@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
@@ -29,6 +29,7 @@ from bellbox.lhv import (
     enumerate_singlet_lhv,
     parity_product,
     sample_indices,
+    _exact_sum,
 )
 
 ALL_TRIPLES = [
@@ -85,6 +86,10 @@ class TestTypes:
         assert box.pattern_product("yyy") == -1
         with pytest.raises(ValueError):
             box.pattern_product("xz")
+        # a pattern is a str: a sequence of the same letters is refused
+        for pattern in (["x", "y", "y"], ("x", "y", "y"), None):
+            with pytest.raises(ValueError, match="pattern must be 3 letters"):
+                box.pattern_product(pattern)
 
     def test_ensemble_validation(self):
         t = AttributeTriple(1, 1, 1)
@@ -236,6 +241,35 @@ class TestParityProduct:
         report = parity_product(build_ghz_ensemble(), "yyy")
         assert report.constant is None
         assert sum(w for _, w in report.distribution) == 1
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**70))
+                    | st.fractions(max_denominator=10**6), max_size=12))
+    @example([])
+    @example([Fraction(1, 8)])
+    @example([Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)])
+    @example([Fraction(2**64 + 1, 3), Fraction(2**65, 7), Fraction(-(2**70), 2**64 + 13)])
+    def test_equals_the_fraction_sum(self, weights):
+        total = _exact_sum(weights)
+        assert type(total) is Fraction
+        assert total == sum(weights, Fraction(0))
+
+
+class TestEnsembleKind:
+    # each function reads boxes of one kind and names it for the other
+    def test_parity_product_needs_three_compartments(self):
+        with pytest.raises(ValueError, match="GhzBoxing"):
+            parity_product(build_singlet_ensemble(), "xyy")
+
+    def test_correlation_prob_needs_two_compartments(self):
+        with pytest.raises(ValueError, match="SingletBoxing"):
+            correlation_prob(build_ghz_ensemble(), "dark", "round")
+
+    def test_bell_check_needs_two_compartments(self):
+        with pytest.raises(ValueError, match="SingletBoxing"):
+            bell_check(build_ghz_ensemble())
 
 
 class TestEnumeration:

@@ -397,6 +397,16 @@ class TestJointOutcomeProb:
         with pytest.raises(ValueError):
             joint_outcome_prob(state, (Z_AXIS, Z_AXIS), (1, 2))
 
+    @pytest.mark.parametrize("axes, outcomes", [
+        (("z", Z_AXIS), (1, 1)),
+        ((Z_AXIS, 0.0), (1, 1)),
+        ((Z_AXIS, (0.0, 0.0)), (1, None)),
+    ])
+    def test_entries_that_are_not_axes_rejected(self, axes, outcomes):
+        # as ProductObservable refuses such a factor, before any bra row is built
+        with pytest.raises(ValueError, match="MeasurementAxis or None"):
+            joint_outcome_probs(singlet_state(), axes, [outcomes])
+
 
 class TestProductExpectation:
     def test_ghz_parities(self):
